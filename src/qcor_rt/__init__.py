@@ -5,8 +5,8 @@ from .errors import (KindMismatchError, MissingKeyError, OptimizationError,
                      ParseError, QcorError, TaskError, ValidationError)
 from .fermion import (FermionObservable, FermionTerm, LadderOp, fermion_to_dense,
                       jordan_wigner, normal_order, parse_fermion)
-from .kernel import (GateKind, Instruction, Kernel, append_measurement_basis,
-                     identity_kernel, parse_kernel, parse_kernel_file, print_kernel)
+from .kernel import (GateKind, Instruction, Kernel, identity_kernel, parse_kernel,
+                     parse_kernel_file, print_kernel)
 from .mitigation import (MitigatedObjective, calibrate, confusion_from_noise,
                          mitigate_counts)
 from .optimizers import FunctionObjective, NelderMead, Optimizer, make_optimizer
@@ -14,8 +14,8 @@ from .pauli import (PauliObservable, PauliString, PauliTerm,
                     expectation_from_counts, parse_pauli)
 from .results import HeterogeneousMap, Kind, ResultBuffer
 from .runtime import (DefaultObjective, ObjectiveFunction, TaskHandle, TaskSpec,
-                      computational_basis_observable, default_objective_evaluate,
-                      derive_seed, publish_evaluation, sync, task_initiate)
+                      computational_basis_observable, derive_seed,
+                      publish_evaluation, sync, task_initiate)
 from .simulator import (ExecutionConfig, ReadoutNoiseModel, StateVector,
                         apply_gate, exact_distribution, exact_expectation, execute)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import OptimizationError, ParseError, QcorError, TaskError, ValidationError
 from .fermion import jordan_wigner, parse_fermion
 from .kernel import parse_kernel
-from .mitigation import MitigatedObjective
+from .mitigation import MitigatedObjective, calibrate
 from .optimizers import make_optimizer
 from .pauli import parse_pauli
 from .results import VOLATILE_KEYS, ResultBuffer
@@ -139,12 +139,7 @@ def _load_observable(args):
 def _make_config(args) -> ExecutionConfig:
     noise = None
     if args.noise_p01 or args.noise_p10:
-        try:
-            noise = ReadoutNoiseModel(p01=args.noise_p01, p10=args.noise_p10)
-        except ValidationError as e:
-            raise _CliError(str(e), EXIT_USAGE) from e
-    if args.shots < 1:
-        raise _CliError("--shots must be >= 1", EXIT_USAGE)
+        noise = ReadoutNoiseModel(p01=args.noise_p01, p10=args.noise_p10)
     return ExecutionConfig(shots=args.shots, seed=_resolve_seed(args),
                            noise=noise, exact=args.exact)
 
@@ -161,10 +156,10 @@ def _buffer_json(buffer: ResultBuffer) -> str:
     return buffer.to_json(indent=2, exclude=VOLATILE_KEYS)
 
 
-def _make_objective(observable, kernel, config, mitigate: bool):
+def _make_objective(observable, kernel, config, mitigate: bool, calibration=None):
     objective = DefaultObjective(observable, kernel, config)
     if mitigate:
-        objective = MitigatedObjective(objective)
+        objective = MitigatedObjective(objective, calibration)
     return objective
 
 
@@ -210,11 +205,17 @@ def _cmd_evaluate(args) -> int:
             raise _CliError(
                 f"--sweep needs a 1-parameter kernel, {kernel.name!r} has "
                 f"{len(kernel.params)}", EXIT_USAGE)
+        thetas = _parse_sweep(args.sweep)
+        # one calibration for the sweep; an independent seed for each point
+        calibration = calibrate(kernel.num_qubits, config) if args.mitigate else None
+        seeds = np.random.SeedSequence(config.seed).spawn(len(thetas))
         records = []
-        for theta in _parse_sweep(args.sweep):
-            objective = _make_objective(observable, kernel, config, args.mitigate)
+        for theta, seed in zip(thetas, seeds):
+            point = config.with_seed(int(seed.generate_state(1)[0]))
+            objective = _make_objective(observable, kernel, point, args.mitigate,
+                                        calibration)
             spec = TaskSpec(kernel=kernel, observable=observable, objective=objective,
-                            params=[float(theta)], config=config)
+                            params=[float(theta)], config=point)
             buffer = sync(task_initiate(spec))
             records.append({"params": [float(theta)],
                             "value": buffer.metadata.get("value", float)})
@@ -249,10 +250,7 @@ def _cmd_simulate(args) -> int:
     kernel = _load_kernel(args.kernel)
     config = _make_config(args)
     if args.bind is not None:
-        try:
-            kernel = kernel.bind(args.bind)
-        except ValidationError as e:
-            raise _CliError(str(e), EXIT_USAGE) from e
+        kernel = kernel.bind(args.bind)
     if kernel.params:
         raise _CliError(
             f"kernel {kernel.name!r} has free parameters {list(kernel.params)}; "
@@ -285,7 +283,8 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except ParseError as e:
+    except (ParseError, ValidationError) as e:
+        # raised before any task runs: the input itself is invalid
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (OptimizationError, TaskError, QcorError, OSError) as e:

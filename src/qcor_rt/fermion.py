@@ -15,9 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .pauli import PauliObservable, PauliString
-
-DENSE_MODE_CAP = 10
+from .pauli import DENSE_QUBIT_CAP, PauliObservable, PauliString
 
 _ANNIHILATE = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 _CREATE = _ANNIHILATE.T.conj()
@@ -286,11 +284,9 @@ def jordan_wigner(obs: FermionObservable) -> PauliObservable:
 
 def fermion_to_dense(obs: FermionObservable, n_modes: int) -> np.ndarray:
     """Literal dense-matrix construction of the observable (test oracle)."""
-    if n_modes > DENSE_MODE_CAP:
-        raise ValidationError(f"dense fermion oracle capped at {DENSE_MODE_CAP} modes")
     n = max(n_modes, obs.num_modes(), 1)
-    if n > DENSE_MODE_CAP:
-        raise ValidationError(f"dense fermion oracle capped at {DENSE_MODE_CAP} modes")
+    if n > DENSE_QUBIT_CAP:
+        raise ValidationError(f"dense fermion oracle capped at {DENSE_QUBIT_CAP} modes")
     dim = 2**n
     out = np.zeros((dim, dim), dtype=complex)
     for ops, coeff in obs._terms.items():

@@ -164,10 +164,6 @@ class Kernel:
         return self.to_source()
 
 
-def append_measurement_basis(kernel: Kernel, string: "PauliString") -> Kernel:
-    return kernel.with_measurement_basis(string)
-
-
 def print_kernel(kernel: Kernel) -> str:
     return kernel.to_source()
 
@@ -333,10 +329,6 @@ def parse_kernel(text: str) -> Kernel:
 def parse_kernel_file(path: str) -> Kernel:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_kernel(fh.read())
-
-
-def bind(kernel: Kernel, values: Sequence[float]) -> Kernel:
-    return kernel.bind(values)
 
 
 def identity_kernel(num_qubits: int, name: str = "identity") -> Kernel:

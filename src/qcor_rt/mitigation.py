@@ -1,5 +1,5 @@
 """Readout-error mitigation by per-qubit confusion-matrix inversion,
-packaged as an objective-function decorator."""
+packaged as the readout-mitigation stage of the objective pipeline."""
 
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ from .errors import ValidationError
 from .kernel import GateKind, Instruction, Kernel
 from .pauli import expectation_from_counts
 from .results import HeterogeneousMap
-from .runtime import (ObjectiveFunction, TermRun, derive_seed,
-                      publish_evaluation)
-from .simulator import ExecutionConfig, ReadoutNoiseModel, execute
+from .runtime import DefaultObjective, derive_seed
+from .simulator import ExecutionConfig, ReadoutNoiseModel, apply_per_qubit, execute
 
 MIN_CALIBRATION_SHOTS = 100
 MIN_DETERMINANT = 1e-6
@@ -45,12 +44,19 @@ def confusion_from_noise(noise: ReadoutNoiseModel | None, qubits) -> dict:
     return out
 
 
-def calibrate(num_qubits: int, config: ExecutionConfig) -> dict:
-    """Estimate each qubit's confusion matrix from |0> and |1> preparation runs."""
-    if config.shots < MIN_CALIBRATION_SHOTS:
+def _check_calibration_shots(shots: int) -> None:
+    if shots < MIN_CALIBRATION_SHOTS:
         raise ValidationError(
-            f"calibration needs at least {MIN_CALIBRATION_SHOTS} shots, got {config.shots}"
+            f"calibration needs at least {MIN_CALIBRATION_SHOTS} shots, got {shots}"
         )
+
+
+def calibrate(num_qubits: int, config: ExecutionConfig) -> dict:
+    """Each qubit's confusion matrix: analytic from the noise model in exact
+    mode, otherwise estimated from |0> and |1> preparation runs."""
+    if config.exact:
+        return confusion_from_noise(config.noise, range(num_qubits))
+    _check_calibration_shots(config.shots)
     matrices = {}
     for q in range(num_qubits):
         columns = []
@@ -95,92 +101,58 @@ def mitigate_counts(counts: Mapping[str, float], calibration: Mapping[int, np.nd
     total = vec.sum()
     if total == 0:
         raise ValidationError("counts sum to zero")
-    vec = vec / total
-    t = vec.reshape([2] * k)
-    for pos, q in enumerate(measured):
-        m = validate_confusion_matrix(calibration[q])
-        inv = np.linalg.inv(m)
-        t = np.moveaxis(np.tensordot(inv, t, axes=([1], [pos])), 0, pos)
-    flat = np.ascontiguousarray(t).reshape(-1)
+    inverses = [np.linalg.inv(validate_confusion_matrix(calibration[q])) for q in measured]
+    flat = apply_per_qubit(vec / total, inverses)
     return {format(i, f"0{k}b"): float(v) for i, v in enumerate(flat) if v != 0.0}
 
 
-class MitigatedObjective(ObjectiveFunction):
-    """Decorator that replaces raw-counts expectations with mitigated ones.
+class MitigatedObjective(DefaultObjective):
+    """Readout-mitigation stage of the objective pipeline.
 
+    Evaluates like the wrapped objective, but re-estimates every term from
+    its counts (or exact distribution) corrected by the inverse confusion
+    matrices, and publishes both the raw and the mitigated value.  Wrapping
+    a MitigatedObjective chains the corrections, innermost first.
     Calibration is performed lazily on the first evaluation and cached;
     pass `calibration` explicitly to skip the calibration runs.
     """
 
-    def __init__(self, inner: ObjectiveFunction,
+    def __init__(self, inner: DefaultObjective,
                  calibration: Mapping[int, np.ndarray] | None = None):
-        super().__init__(inner.observable, inner.kernel, inner.config, None)
+        if not isinstance(inner, DefaultObjective):
+            raise ValidationError("MitigatedObjective wraps a DefaultObjective")
+        super().__init__(inner.observable, inner.kernel, inner.config, inner.sink)
         self.inner = inner
         self._calibration = (
             {q: validate_confusion_matrix(m) for q, m in calibration.items()}
             if calibration is not None else None
         )
-
-    @property
-    def sink(self):
-        return self.inner.sink
-
-    @sink.setter
-    def sink(self, value):
-        # __init__ of the base class assigns sink before `inner` exists
-        if "inner" in self.__dict__:
-            self.inner.sink = value
-
-    def dimensions(self) -> int:
-        return self.inner.dimensions()
+        if self._calibration is None and not self.config.exact:
+            _check_calibration_shots(self.config.shots)
 
     def _ensure_calibration(self) -> dict:
         if self._calibration is None:
-            qubits = range(self.kernel.num_qubits)
-            if self.config.exact:
-                self._calibration = confusion_from_noise(self.config.noise, qubits)
-            else:
-                self._calibration = calibrate(self.kernel.num_qubits, self.config)
-            self._record_calibration()
+            self._calibration = calibrate(self.kernel.num_qubits, self.config)
+            if self.sink is not None and "readout-calibration" not in self.sink.metadata:
+                self.sink.metadata.put("readout-calibration", HeterogeneousMap({
+                    f"q{q}": [float(x) for x in m.reshape(-1)]
+                    for q, m in sorted(self._calibration.items())
+                }))
         return self._calibration
 
-    def _record_calibration(self):
-        if self.sink is None or "readout-calibration" in self.sink.metadata:
-            return
-        entry = HeterogeneousMap({
-            f"q{q}": [float(x) for x in m.reshape(-1)]
-            for q, m in sorted(self._calibration.items())
-        })
-        self.sink.metadata.put("readout-calibration", entry)
+    def _corrected(self, run) -> dict:
+        """Quasi-distribution of `run` after this stage and the ones it wraps."""
+        inner = self.inner
+        source = (inner._corrected(run) if isinstance(inner, MitigatedObjective)
+                  else run.outcomes)
+        return mitigate_counts(source, self._ensure_calibration(), run.term.string.qubits)
 
-    def _run_both(self, params: Sequence[float]):
-        calibration = self._ensure_calibration()
-        offset, runs = self.inner._run_terms(params)
-        chain_runs = []    # quasi-distribution counts, so decorators compose
-        publish_runs = []  # integer counts for the buffer tree
+    def _mitigate(self, runs: list) -> bool:
+        self._ensure_calibration()
         for run in runs:
-            support = run.term.string.qubits
-            quasi = mitigate_counts(run.counts, calibration, support)
-            value = expectation_from_counts(run.term, quasi, support)
-            metadata = HeterogeneousMap()
-            metadata.update(run.metadata)
-            metadata.put("raw-expectation", run.expectation)
-            metadata.put("mitigated", True)
-            chain_runs.append(TermRun(run.term, run.kernel, quasi, metadata, value))
-            publish_runs.append(
-                TermRun(run.term, run.kernel, dict(run.counts), metadata, value))
-        return offset, chain_runs, publish_runs, runs
-
-    def _run_terms(self, params: Sequence[float]):
-        """Decorator-compatible view: mitigated counts and expectations per term."""
-        offset, chain_runs, _, _ = self._run_both(params)
-        return offset, chain_runs
-
-    def __call__(self, params: Sequence[float]) -> float:
-        offset, _, publish_runs, raw_runs = self._run_both(params)
-        raw = offset + sum(r.expectation for r in raw_runs)
-        mitigated = offset + sum(r.expectation for r in publish_runs)
-        publish_evaluation(self.sink, params, mitigated, publish_runs,
-                           extra={"raw-value": float(raw),
-                                  "mitigated-value": float(mitigated)})
-        return mitigated
+            quasi = self._corrected(run)
+            run.metadata.put("raw-expectation", run.expectation)
+            run.metadata.put("mitigated", True)
+            run.expectation = expectation_from_counts(run.term, quasi,
+                                                      run.term.string.qubits)
+        return True

@@ -20,7 +20,7 @@ if TYPE_CHECKING:
     from .kernel import Kernel
 
 DEFAULT_TOL = 1e-12
-DENSE_QUBIT_CAP = 12
+DENSE_QUBIT_CAP = 10  # width limit of every dense-matrix oracle
 
 _MATRICES = {
     "I": np.eye(2, dtype=complex),

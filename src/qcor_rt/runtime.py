@@ -7,6 +7,7 @@ task runs); nothing is shared in place with the caller.
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,13 +29,18 @@ def derive_seed(base: int, index: int) -> int:
 
 @dataclass
 class TermRun:
-    """Record of one measured-kernel execution inside an objective evaluation."""
+    """Record of one measured term inside an objective evaluation."""
 
     term: PauliTerm
-    kernel: Kernel
-    counts: dict            # shot counts, or probabilities in exact mode
     metadata: HeterogeneousMap
     expectation: float
+    counts: dict | None          # integer shot counts (sampled mode)
+    probabilities: dict | None   # outcome distribution (exact mode)
+
+    @property
+    def outcomes(self) -> dict:
+        """The measured distribution: shot counts or exact probabilities."""
+        return self.counts if self.counts is not None else self.probabilities
 
 
 class ObjectiveFunction:
@@ -56,47 +62,58 @@ class ObjectiveFunction:
 
 
 class DefaultObjective(ObjectiveFunction):
-    """Expectation value of the observable at the given parameters."""
+    """Expectation value of the observable at the given parameters.
+
+    One evaluation binds, observes, measures each non-identity term (exact
+    or sampled), runs the readout-mitigation stage, sums and publishes.  The
+    stage does nothing here; `MitigatedObjective` supplies it.
+    """
 
     def __init__(self, observable, kernel, config=None, sink=None):
         super().__init__(observable, kernel, config, sink)
         self._exec_count = 0
+        self._exec_lock = threading.Lock()
 
-    def _run_terms(self, params: Sequence[float]):
-        """Bind, observe, and execute every non-identity term.
-
-        Returns (offset, [TermRun...]); `offset` is the real part of the
-        summed identity coefficients.
-        """
-        bound = self.kernel.bind(params)
-        pairs, offset = self.observable.observe(bound)
-        runs = []
-        for term, measured_kernel in pairs:
-            support = term.string.qubits
-            if self.config.exact:
-                counts = exact_distribution(measured_kernel, self.config.noise)
-                metadata = HeterogeneousMap({"mode": "exact"})
-            else:
-                cfg = self.config.with_seed(
-                    derive_seed(self.config.seed, self._exec_count))
+    def _measure(self, term: PauliTerm, measured_kernel: Kernel) -> TermRun:
+        counts = probabilities = None
+        if self.config.exact:
+            probabilities = exact_distribution(measured_kernel, self.config.noise)
+            metadata = HeterogeneousMap({"mode": "exact"})
+        else:
+            with self._exec_lock:  # one index per execution, across threads
+                index = self._exec_count
                 self._exec_count += 1
-                counts, metadata = execute(measured_kernel, cfg)
-            value = expectation_from_counts(term, counts, support)
-            metadata.put("term", str(term.string))
-            metadata.put("coefficient", term.coefficient)
-            runs.append(TermRun(term, measured_kernel, counts, metadata, value))
-        return offset.real, runs
+            cfg = self.config.with_seed(derive_seed(self.config.seed, index))
+            counts, metadata = execute(measured_kernel, cfg)
+        run = TermRun(term, metadata, 0.0, counts, probabilities)
+        run.expectation = expectation_from_counts(term, run.outcomes,
+                                                  term.string.qubits)
+        metadata.put("term", str(term.string))
+        metadata.put("coefficient", term.coefficient)
+        return run
+
+    def _mitigate(self, runs: list) -> bool:
+        """Readout-mitigation stage: re-estimate `runs` in place and return
+        True, or leave them as measured and return False."""
+        return False
 
     def __call__(self, params: Sequence[float]) -> float:
-        offset, runs = self._run_terms(params)
-        value = offset + sum(r.expectation for r in runs)
-        publish_evaluation(self.sink, params, value, runs)
+        bound = self.kernel.bind(params)
+        pairs, offset = self.observable.observe(bound)
+        runs = [self._measure(term, measured) for term, measured in pairs]
+        value = offset.real + sum(r.expectation for r in runs)
+        extra = None
+        if self._mitigate(runs):
+            raw, value = value, offset.real + sum(r.expectation for r in runs)
+            extra = {"raw-value": float(raw), "mitigated-value": float(value)}
+        publish_evaluation(self.sink, params, value, runs, extra)
         return value
 
 
 def publish_evaluation(sink: ResultBuffer | None, params, value, runs,
                        extra: dict | None = None) -> None:
-    """Append one evaluation node (with per-kernel grandchildren) to the sink."""
+    """Append one evaluation node (with per-kernel grandchildren) to the sink;
+    exact probabilities are not shot counts and go to "distribution"."""
     if sink is None:
         return
     child = ResultBuffer(HeterogeneousMap({
@@ -105,23 +122,12 @@ def publish_evaluation(sink: ResultBuffer | None, params, value, runs,
         **(extra or {}),
     }))
     for run in runs:
-        if run.counts and all(isinstance(v, int) for v in run.counts.values()):
-            grandchild = ResultBuffer(run.metadata, counts=run.counts)
-        else:
-            # exact-mode probabilities are not shot counts; keep the JSON
-            # counts field integer-valued and record the distribution aside
-            grandchild = ResultBuffer(run.metadata)
-            grandchild.metadata.put(
-                "distribution",
-                HeterogeneousMap({b: float(p) for b, p in run.counts.items()}))
+        grandchild = ResultBuffer(run.metadata, counts=run.counts)
+        if run.probabilities is not None:
+            grandchild.metadata.put("distribution",
+                                    HeterogeneousMap(run.probabilities))
         child.add_child(grandchild)
     sink.add_child(child)
-
-
-def default_objective_evaluate(observable: PauliObservable, kernel: Kernel,
-                               params: Sequence[float], config: ExecutionConfig,
-                               sink: ResultBuffer | None = None) -> float:
-    return DefaultObjective(observable, kernel, config, sink)(params)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +216,8 @@ def _resolve(spec: TaskSpec):
             raise ValidationError(
                 f"objective takes {dims} parameter(s), got {len(params)}"
             )
+        elif not all(math.isfinite(p) for p in params):
+            raise ValidationError(f"parameters must be finite, got {params}")
     return objective, spec.optimizer, params
 
 

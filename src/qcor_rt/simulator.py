@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernel import GateKind, Instruction, Kernel, ROTATION_GATES
-from .pauli import PauliObservable
+from .pauli import DENSE_QUBIT_CAP, PauliObservable
 from .results import HeterogeneousMap
 
 MAX_QUBITS = 24
-EXACT_QUBIT_CAP = 12
+MAX_SHOTS = 2**63 - 1  # multinomial draws count in int64
 GENERATOR_NAME = "pcg64"
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -77,6 +77,10 @@ class ReadoutNoiseModel:
         return np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_prob(p, name):
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"{name} must lie in [0, 1], got {p}")
@@ -90,8 +94,12 @@ class ExecutionConfig:
     exact: bool = False
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValidationError("shots must be >= 1")
+        if not _is_int(self.shots) or not 1 <= self.shots <= MAX_SHOTS:
+            raise ValidationError(
+                f"shots must be an integer in [1, {MAX_SHOTS}], got {self.shots!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValidationError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
     def with_seed(self, seed: int) -> "ExecutionConfig":
         return replace(self, seed=seed)
@@ -180,10 +188,14 @@ def _measured_marginal(kernel: Kernel) -> tuple:
     return vec / vec.sum(), measured
 
 
-def _apply_stochastic(vec: np.ndarray, pos: int, k: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to bit position `pos` of a 2^k probability vector."""
+def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
+    """Apply the i-th 2x2 matrix to bit position i (leftmost first) of a
+    2^k vector of outcome weights, for k = len(matrices): readout noise
+    with confusion matrices, its mitigation with their inverses."""
+    k = len(matrices)
     t = vec.reshape([2] * k)
-    t = np.moveaxis(np.tensordot(mat, t, axes=([1], [pos])), 0, pos)
+    for pos, mat in enumerate(matrices):
+        t = np.moveaxis(np.tensordot(mat, t, axes=([1], [pos])), 0, pos)
     return np.ascontiguousarray(t).reshape(-1)
 
 
@@ -192,8 +204,7 @@ def exact_distribution(kernel: Kernel, noise: ReadoutNoiseModel | None = None) -
     analytically by the readout noise model."""
     vec, measured = _measured_marginal(kernel)
     if noise is not None:
-        for pos, q in enumerate(measured):
-            vec = _apply_stochastic(vec, pos, len(measured), noise.confusion_matrix(q))
+        vec = apply_per_qubit(vec, [noise.confusion_matrix(q) for q in measured])
     k = len(measured)
     return {format(i, f"0{k}b"): float(p) for i, p in enumerate(vec) if p > 0.0}
 
@@ -241,11 +252,11 @@ def _readout_flips(counts_vec: np.ndarray, measured, noise: ReadoutNoiseModel,
 
 
 def exact_expectation(kernel: Kernel, obs: PauliObservable) -> float:
-    """Dense <psi|O|psi> for a bound, unmeasured kernel of <= 12 qubits."""
+    """Dense <psi|O|psi> for a bound, unmeasured kernel of <= 10 qubits."""
     if kernel.is_measured():
         raise ValidationError("exact_expectation requires an unmeasured kernel")
-    if kernel.num_qubits > EXACT_QUBIT_CAP:
-        raise ValidationError(f"exact expectation capped at {EXACT_QUBIT_CAP} qubits")
+    if kernel.num_qubits > DENSE_QUBIT_CAP:
+        raise ValidationError(f"exact expectation capped at {DENSE_QUBIT_CAP} qubits")
     if obs.num_qubits() > kernel.num_qubits:
         raise ValidationError("observable is wider than the kernel")
     psi = _evolve(kernel)

@@ -168,3 +168,75 @@ class TestUsage:
     def test_invalid_noise_probability(self, bell_file):
         proc = run_cli("simulate", "--kernel", bell_file, "--noise-p01", "1.5")
         assert proc.returncode == 2
+
+
+class TestSweepIndependence:
+    def test_repeated_point_gets_independent_draws(self, ansatz_file):
+        proc = run_cli("evaluate", "--kernel", ansatz_file, "--observable", "X0 X1",
+                       "--sweep=1:1:3", "--shots", "200", "--seed", "0")
+        assert proc.returncode == 0
+        values = [r["value"] for r in json.loads(proc.stdout)]
+        assert len(set(values)) > 1
+
+    def test_seeded_sweep_is_byte_reproducible(self, ansatz_file):
+        argv = ("evaluate", "--kernel", ansatz_file, "--observable", "X0 X1",
+                "--sweep=0:1:3", "--shots", "200", "--seed", "9",
+                "--noise-p10", "0.1", "--mitigate")
+        a, b = run_cli(*argv), run_cli(*argv)
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+
+    def test_mitigated_sweep_calibrates_once(self, ansatz_file, monkeypatch, capsys):
+        from qcor_rt import cli, mitigation
+        calls = []
+
+        def counting(num_qubits, config, _real=mitigation.calibrate):
+            calls.append(config.seed)
+            return _real(num_qubits, config)
+
+        monkeypatch.setattr(cli, "calibrate", counting)
+        monkeypatch.setattr(mitigation, "calibrate", counting)
+        code = cli.main(["evaluate", "--kernel", ansatz_file, "--observable", "Z0 Z1",
+                         "--sweep=0:1:4", "--shots", "200", "--noise-p10", "0.1",
+                         "--mitigate"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)) == 4
+        assert calls == [0]
+
+
+class TestUsageErrorsExitTwo:
+    """Invalid inputs are rejected before any task runs: exit 2, one
+    `error:` line and no traceback."""
+
+    def _check(self, proc):
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_seed(self, bell_file):
+        self._check(run_cli("simulate", "--kernel", bell_file, "--seed", "-1"))
+
+    def test_negative_seed_evaluate(self, ansatz_file):
+        self._check(run_cli("evaluate", "--kernel", ansatz_file, "--observable", "Z0",
+                            "--params", "0.1", "--seed", "-1"))
+
+    def test_negative_env_seed(self, bell_file):
+        import os
+        env = dict(os.environ, QCOR_RT_SEED="-5")
+        self._check(run_cli("simulate", "--kernel", bell_file, env=env))
+
+    def test_overflowing_shots(self, bell_file):
+        self._check(run_cli("simulate", "--kernel", bell_file,
+                            "--shots", str(10**19)))
+
+    def test_nan_params(self, ansatz_file):
+        self._check(run_cli("evaluate", "--kernel", ansatz_file, "--observable", "Z0",
+                            "--params", "nan"))
+
+    def test_too_few_calibration_shots(self, ansatz_file):
+        self._check(run_cli("evaluate", "--kernel", ansatz_file, "--observable", "Z0",
+                            "--params", "0.1", "--mitigate", "--shots", "50"))
+
+    def test_too_few_calibration_shots_sweep(self, ansatz_file):
+        self._check(run_cli("evaluate", "--kernel", ansatz_file, "--observable", "Z0",
+                            "--sweep=0:1:2", "--mitigate", "--shots", "50"))

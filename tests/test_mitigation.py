@@ -181,3 +181,22 @@ class TestMitigatedObjective:
             DefaultObjective(obs, kernel, ExecutionConfig(exact=True, noise=noise)))
         want = exact_expectation(kernel, obs)
         assert obj([]) == pytest.approx(want, abs=1e-10)
+
+
+class TestMitigatedObjectiveValidation:
+    def _inner(self, config):
+        kernel = parse_kernel("kernel prep() qubits 1 { X q0; }")
+        return DefaultObjective(parse_pauli("Z0"), kernel, config)
+
+    def test_too_few_calibration_shots_rejected_at_construction(self):
+        with pytest.raises(ValidationError):
+            MitigatedObjective(self._inner(ExecutionConfig(shots=50)))
+
+    def test_few_shots_allowed_when_no_calibration_runs(self):
+        MitigatedObjective(self._inner(ExecutionConfig(shots=50)),
+                           calibration={0: np.eye(2)})
+        MitigatedObjective(self._inner(ExecutionConfig(shots=50, exact=True)))
+
+    def test_wraps_only_default_objectives(self):
+        with pytest.raises(ValidationError):
+            MitigatedObjective(object())

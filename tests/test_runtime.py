@@ -299,3 +299,51 @@ class TestBasesRunInParallelEquivalence:
             by_group = sum(DefaultObjective(g, kernel, cfg)(())
                            for g in obs.group_commuting())
             assert whole == pytest.approx(by_group, abs=1e-10)
+
+
+class TestSharedObjectiveThreads:
+    def test_concurrent_evaluations_draw_distinct_seeds(self):
+        """One objective evaluated from more threads than cores: every
+        execution takes its own index, so every seed is distinct."""
+        import os
+        import sys
+
+        threads, evals = max(8, (os.cpu_count() or 1) + 2), 25
+        obs = parse_pauli("Z0 + Z1 + X0 X1 + Z0 Z1")
+        kernel = parse_kernel("kernel k() qubits 2 { H q0; CNOT q0 q1; }")
+        sink = ResultBuffer()
+        obj = DefaultObjective(obs, kernel, ExecutionConfig(shots=5, seed=1), sink)
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(evals):
+                    obj([])
+            except Exception as e:  # reported below; a thread cannot raise into pytest
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for _ in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert errors == []
+        seeds = [g.metadata.get("seed", int)
+                 for child in sink.children for g in child.children]
+        assert len(seeds) == threads * evals * 4
+        assert len(set(seeds)) == len(seeds)
+        assert obj._exec_count == len(seeds)
+
+
+class TestSynchronousValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected_at_initiate(self, ansatz_1p, bad):
+        with pytest.raises(ValidationError):
+            task_initiate(TaskSpec(kernel=ansatz_1p,
+                                   observable=parse_pauli("X0 X1"), params=[bad]))

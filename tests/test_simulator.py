@@ -228,3 +228,19 @@ class TestNoiseModel:
     def test_confusion_matrix(self):
         m = ReadoutNoiseModel(p01=0.05, p10=0.10).confusion_matrix(0)
         assert np.allclose(m, [[0.95, 0.10], [0.05, 0.90]])
+
+
+class TestExecutionConfig:
+    @pytest.mark.parametrize("shots", [0, -3, 2.5, 10**19, 2**63, True, "10"])
+    def test_rejects_bad_shots(self, shots):
+        with pytest.raises(ValidationError):
+            ExecutionConfig(shots=shots)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, False])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValidationError):
+            ExecutionConfig(seed=seed)
+
+    def test_accepts_bounds(self):
+        assert ExecutionConfig(shots=2**63 - 1, seed=2**64).shots == 2**63 - 1
+        assert ExecutionConfig(shots=np.int64(5), seed=np.uint32(7)).seed == 7
