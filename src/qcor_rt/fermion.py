@@ -264,22 +264,22 @@ def normal_order(obs: FermionObservable) -> FermionObservable:
 
 def _jw_ladder(op: LadderOp) -> PauliObservable:
     """c†_j -> (X_j - iY_j)/2 · Z_{j-1}..Z_0 (plus sign for c_j)."""
-    zs = tuple((k, "Z") for k in range(op.site))
-    x_string = PauliString(zs + ((op.site, "X"),))
-    y_string = PauliString(zs + ((op.site, "Y"),))
+    bit = 1 << op.site
+    x_string = PauliString(x=bit, z=bit - 1)
+    y_string = PauliString(x=bit, z=(bit << 1) - 1)
     y_coeff = -0.5j if op.dagger else 0.5j
     return PauliObservable([(0.5, x_string), (y_coeff, y_string)])
 
 
 def jordan_wigner(obs: FermionObservable) -> PauliObservable:
     """Map a fermionic observable onto Pauli strings; result is simplified."""
-    total = PauliObservable()
+    terms = []
     for ops, coeff in obs._terms.items():
         product = PauliObservable.identity(coeff)
         for op in ops:
             product = product * _jw_ladder(op)
-        total = total + product
-    return total.simplify()
+        terms.extend((c, s) for s, c in product._terms.items())
+    return PauliObservable(terms).simplify()
 
 
 def fermion_to_dense(obs: FermionObservable, n_modes: int) -> np.ndarray:

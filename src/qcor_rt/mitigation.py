@@ -127,7 +127,9 @@ class MitigatedObjective(DefaultObjective):
             {q: validate_confusion_matrix(m) for q, m in calibration.items()}
             if calibration is not None else None
         )
-        if self._calibration is None and not self.config.exact:
+        if self._calibration is None and self.config.exact:
+            confusion_from_noise(self.config.noise, range(self.kernel.num_qubits))
+        elif self._calibration is None:
             _check_calibration_shots(self.config.shots)
 
     def _ensure_calibration(self) -> dict:

@@ -38,16 +38,23 @@ class NelderMead(Optimizer):
         for key in opts:
             if key not in self._OPTION_KEYS:
                 raise ValidationError(f"unknown optimizer option {key!r}")
-        self.max_evals = int(opts.get("max-iterations", 500))
-        self.tolerance = float(opts.get("tolerance", 1e-6))
         self.initial_point = opts.get("initial-point")
-        self.initial_step = float(opts.get("initial-step", 0.1))
+        try:
+            self.max_evals = int(opts.get("max-iterations", 500))
+            self.tolerance = float(opts.get("tolerance", 1e-6))
+            self.initial_step = float(opts.get("initial-step", 0.1))
+            point = np.asarray(0.0 if self.initial_point is None else self.initial_point,
+                               dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"invalid optimizer option: {e}") from None
         if self.max_evals < 1:
             raise ValidationError("max-iterations must be >= 1")
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
         if self.initial_step == 0:
             raise ValidationError("initial-step must be non-zero")
+        if not np.isfinite(point).all():
+            raise ValidationError(f"initial-point must be finite, got {self.initial_point}")
 
     def optimize(self, objective) -> tuple:
         dim = objective.dimensions() if hasattr(objective, "dimensions") else None

@@ -8,8 +8,10 @@ across threads.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -29,84 +31,70 @@ _MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Single-qubit products: (a, b) -> (phase, a*b).
-_CYCLE = {
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Z", "Y"): (-1j, "X"),
-    ("X", "Z"): (-1j, "Y"),
-}
-_PRODUCT = {}
-for _a in "IXYZ":
-    for _b in "IXYZ":
-        if _a == "I":
-            _PRODUCT[(_a, _b)] = (1, _b)
-        elif _b == "I":
-            _PRODUCT[(_a, _b)] = (1, _a)
-        elif _a == _b:
-            _PRODUCT[(_a, _b)] = (1, "I")
-        else:
-            _PRODUCT[(_a, _b)] = _CYCLE[(_a, _b)]
+_KINDS = "IXZY"  # indexed by (x bit) | (z bit) << 1
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor product of non-identity Paulis, as ((qubit, kind), ...) sorted by qubit."""
+    """Tensor product of Paulis as symplectic masks (Aaronson & Gottesman):
+    bit q of `x` marks X on qubit q, bit q of `z` marks Z, both bits mark Y."""
 
-    ops: tuple = ()
+    x: int = 0
+    z: int = 0
 
     def __post_init__(self):
-        qubits = [q for q, _ in self.ops]
-        if qubits != sorted(set(qubits)):
-            raise ValidationError(f"qubit indices not sorted/unique: {self.ops}")
-        for q, kind in self.ops:
-            if q < 0:
-                raise ValidationError(f"negative qubit index {q}")
-            if kind not in ("X", "Y", "Z"):
-                raise ValidationError(f"invalid Pauli kind {kind!r} (identity must be omitted)")
+        for mask in (self.x, self.z):
+            if not isinstance(mask, int) or mask < 0:
+                raise ValidationError(f"Pauli masks must be non-negative ints, got {mask!r}")
 
     @classmethod
     def from_map(cls, ops: Mapping[int, str]) -> "PauliString":
-        return cls(tuple(sorted((q, k) for q, k in ops.items() if k != "I")))
+        """Validated constructor from {qubit: kind}; identity factors are dropped."""
+        x = z = 0
+        for q, kind in ops.items():
+            if not isinstance(q, numbers.Integral) or q < 0:
+                raise ValidationError(f"qubit index must be a non-negative integer, got {q!r}")
+            if kind not in ("I", "X", "Y", "Z"):
+                raise ValidationError(f"invalid Pauli kind {kind!r}")
+            bits = _KINDS.index(kind)
+            x |= (bits & 1) << int(q)
+            z |= (bits >> 1) << int(q)
+        return cls(x, z)
 
-    @property
+    @cached_property
+    def ops(self) -> tuple:
+        """((qubit, kind), ...) over the non-identity factors, by qubit."""
+        support = self.x | self.z
+        return tuple((q, self.op_on(q)) for q in range(support.bit_length())
+                     if support >> q & 1)
+
+    @cached_property
     def qubits(self) -> tuple:
         return tuple(q for q, _ in self.ops)
 
     def op_on(self, qubit: int) -> str:
-        for q, kind in self.ops:
-            if q == qubit:
-                return kind
-        return "I"
+        if qubit < 0:
+            return "I"
+        return _KINDS[(self.x >> qubit & 1) | (self.z >> qubit & 1) << 1]
 
     def mul(self, other: "PauliString"):
-        """Return (phase, product string) under the Pauli multiplication table."""
-        phase = 1 + 0j
-        out = {}
-        for q, kind in self.ops:
-            out[q] = kind
-        for q, kind in other.ops:
-            p, k = _PRODUCT[(out.get(q, "I"), kind)]
-            phase *= p
-            if k == "I":
-                out.pop(q, None)
-            else:
-                out[q] = k
-        return phase, PauliString.from_map(out)
+        """Return (phase, product string): XOR the masks, and count the
+        qubits whose factors multiply cyclically (XY, YZ, ZX -> +i) or
+        anticyclically (-i)."""
+        xa, za, xb, zb = self.x, self.z, other.x, other.z
+        pxa, pya, pza = xa & ~za, xa & za, za & ~xa
+        pxb, pyb, pzb = xb & ~zb, xb & zb, zb & ~xb
+        cyclic = (pxa & pyb | pya & pzb | pza & pxb).bit_count()
+        anticyclic = (pya & pxb | pza & pyb | pxa & pzb).bit_count()
+        return _PHASES[(cyclic - anticyclic) % 4], PauliString(xa ^ xb, za ^ zb)
 
     def qubitwise_commutes(self, other: "PauliString") -> bool:
-        mine = dict(self.ops)
-        for q, kind in other.ops:
-            if mine.get(q, kind) != kind:
-                return False
-        return True
+        shared = (self.x | self.z) & (other.x | other.z)
+        return not ((self.x ^ other.x) | (self.z ^ other.z)) & shared
 
     def __str__(self):
-        if not self.ops:
-            return "I"
-        return " ".join(f"{kind}{q}" for q, kind in self.ops)
+        return " ".join(f"{kind}{q}" for q, kind in self.ops) or "I"
 
 
 @dataclass(frozen=True)
@@ -128,7 +116,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _string_sort_key(s: PauliString):
-    return (tuple(q for q, _ in s.ops), tuple(k for _, k in s.ops))
+    return (s.qubits, tuple(k for _, k in s.ops))
 
 
 class PauliObservable:
@@ -161,8 +149,7 @@ class PauliObservable:
         )
 
     def num_qubits(self) -> int:
-        indices = [q for s in self._terms for q in s.qubits]
-        return 1 + max(indices) if indices else 0
+        return max(((s.x | s.z).bit_length() for s in self._terms), default=0)
 
     def identity_coefficient(self) -> complex:
         return self._terms.get(PauliString(), 0j)
@@ -250,6 +237,16 @@ class PauliObservable:
             out += c * m
         return out
 
+    def check_kernel(self, kernel: "Kernel") -> None:
+        """Raise ValidationError unless `kernel` can be observed: unmeasured
+        and at least as wide as the observable."""
+        if kernel.is_measured():
+            raise ValidationError("observe requires an unmeasured kernel")
+        if kernel.num_qubits < self.num_qubits():
+            raise ValidationError(
+                f"kernel has {kernel.num_qubits} qubits, observable needs {self.num_qubits()}"
+            )
+
     def observe(self, kernel: "Kernel"):
         """Produce one measured kernel per non-identity term.
 
@@ -257,12 +254,7 @@ class PauliObservable:
         Kernel); `offset` is the summed coefficient of identity terms,
         carried analytically instead of running a no-op circuit.
         """
-        if kernel.is_measured():
-            raise ValidationError("observe requires an unmeasured kernel")
-        if kernel.num_qubits < self.num_qubits():
-            raise ValidationError(
-                f"kernel has {kernel.num_qubits} qubits, observable needs {self.num_qubits()}"
-            )
+        self.check_kernel(kernel)
         pairs = []
         offset = 0j
         for term in self.terms:
@@ -375,8 +367,7 @@ def parse_pauli(text: str) -> PauliObservable:
         if coeff is None:
             coeff = 1 + 0j
         coeff *= sign
-        ops = {}
-        phase = 1 + 0j
+        phase, string = 1 + 0j, PauliString()
         saw_factor = False
         while True:
             tok = ts.peek()
@@ -389,16 +380,11 @@ def parse_pauli(text: str) -> PauliObservable:
             if tok[0] != "factor":
                 raise ParseError(f"expected Pauli factor, got {tok[1]!r}", tok[2])
             saw_factor = True
-            kind, q = tok[1][0], int(tok[1][1:])
-            p, k = _PRODUCT[(ops.get(q, "I"), kind)]
+            p, string = string.mul(PauliString.from_map({int(tok[1][1:]): tok[1][0]}))
             phase *= p
-            if k == "I":
-                ops.pop(q, None)
-            else:
-                ops[q] = k
         if not saw_factor:
             raise ParseError("term has no Pauli factor", ts.here())
-        terms.append((coeff * phase, PauliString.from_map(ops)))
+        terms.append((coeff * phase, string))
         tok = ts.next()
         if tok is None:
             break
@@ -428,14 +414,15 @@ def expectation_from_counts(term: PauliTerm, counts: Mapping[str, float],
         raise ValidationError(
             f"counts do not cover the term support {support} (measured {measured})"
         )
+    mask = sum(1 << (len(measured) - 1 - p) for p in positions)  # qubit 0 leftmost
     total = 0.0
     acc = 0.0
     for bits, weight in counts.items():
-        if len(bits) != len(measured):
+        if len(bits) != len(measured) or bits.strip("01"):
             raise ValidationError(
-                f"bitstring {bits!r} does not match measured qubits {measured}"
+                f"bitstring {bits!r} is not one binary digit per measured qubit {measured}"
             )
-        parity = sum(bits[p] == "1" for p in positions) % 2
+        parity = (int(bits or "0", 2) & mask).bit_count() & 1
         total += weight
         acc += -weight if parity else weight
     if total == 0:

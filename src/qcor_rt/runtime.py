@@ -70,6 +70,7 @@ class DefaultObjective(ObjectiveFunction):
     """
 
     def __init__(self, observable, kernel, config=None, sink=None):
+        observable.check_kernel(kernel)  # fail before any task starts
         super().__init__(observable, kernel, config, sink)
         self._exec_count = 0
         self._exec_lock = threading.Lock()
@@ -172,9 +173,7 @@ class TaskHandle:
 
 def computational_basis_observable(num_qubits: int) -> PauliObservable:
     """Single all-qubit Z string: measures every qubit in the computational basis."""
-    return PauliObservable(
-        [(1.0, PauliString(tuple((q, "Z") for q in range(num_qubits))))]
-    )
+    return PauliObservable([(1.0, PauliString(z=(1 << num_qubits) - 1))])
 
 
 def _resolve(spec: TaskSpec):

@@ -1,13 +1,24 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import qcor_rt
 
 from conftest import ANSATZ_1P, ANSATZ_2P, BELL
 
 
+# the source tree of the imported package, so the CLI subprocess runs the
+# same code as the tests whether or not some qcor_rt is installed
+SRC_DIR = str(Path(qcor_rt.__file__).resolve().parents[1])
+
+
 def run_cli(*argv, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qcor_rt.cli", *argv],
         capture_output=True, text=True, env=env,
@@ -240,3 +251,21 @@ class TestUsageErrorsExitTwo:
     def test_too_few_calibration_shots_sweep(self, ansatz_file):
         self._check(run_cli("evaluate", "--kernel", ansatz_file, "--observable", "Z0",
                             "--sweep=0:1:2", "--mitigate", "--shots", "50"))
+
+    def test_measured_kernel(self, bell_file):
+        self._check(run_cli("evaluate", "--kernel", bell_file, "--observable", "Z0",
+                            "--exact"))
+
+    def test_kernel_narrower_than_observable(self, ansatz_file):
+        self._check(run_cli("evaluate", "--kernel", ansatz_file, "--observable", "Z3",
+                            "--exact", "--params", "0.1"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_initial_point(self, ansatz_file, bad):
+        self._check(run_cli("vqe", "--kernel", ansatz_file, "--observable", "Z0",
+                            "--initial-point", bad))
+
+    def test_singular_exact_mitigation(self, ansatz_file):
+        self._check(run_cli("evaluate", "--kernel", ansatz_file, "--observable", "Z0",
+                            "--exact", "--noise-p01", "0.5", "--noise-p10", "0.5",
+                            "--mitigate", "--params", "0.1"))

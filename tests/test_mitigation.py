@@ -200,3 +200,8 @@ class TestMitigatedObjectiveValidation:
     def test_wraps_only_default_objectives(self):
         with pytest.raises(ValidationError):
             MitigatedObjective(object())
+
+    def test_singular_exact_noise_rejected_at_construction(self):
+        noise = ReadoutNoiseModel(p01=0.5, p10=0.5)
+        with pytest.raises(ValidationError):
+            MitigatedObjective(self._inner(ExecutionConfig(exact=True, noise=noise)))

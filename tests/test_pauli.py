@@ -6,7 +6,7 @@ from qcor_rt import (ExecutionConfig, Kernel, ParseError, PauliObservable,
                      expectation_from_counts, identity_kernel, parse_pauli)
 from qcor_rt.kernel import GateKind, Instruction
 
-from conftest import obs_to_oracle_terms, oracle_dense, random_observable
+from conftest import _M, obs_to_oracle_terms, oracle_dense, random_observable
 
 
 def string(ops):
@@ -241,6 +241,27 @@ class TestExpectationFromCounts:
         with pytest.raises(ValidationError):
             expectation_from_counts(PauliTerm(1.0, string({0: "Z"})), {})
 
+    def test_parity_matches_per_character_reference(self):
+        # measured qubits beyond the support, so bit positions matter
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            measured = sorted(int(q) for q in rng.choice(6, size=4, replace=False))
+            ops = {q: str(rng.choice(["I", "X", "Y", "Z"])) for q in measured}
+            term = PauliTerm(complex(rng.normal(), 1.0), string(ops))
+            counts = {format(int(i), "04b"): int(rng.integers(1, 20))
+                      for i in rng.choice(16, size=5, replace=False)}
+            positions = [measured.index(q) for q in term.string.qubits]
+            want = sum(w * (-1) ** sum(bits[p] == "1" for p in positions)
+                       for bits, w in counts.items()) / sum(counts.values())
+            got = expectation_from_counts(term, counts, measured)
+            assert got == pytest.approx(term.coefficient.real * want, abs=1e-12)
+
+    @pytest.mark.parametrize("bits", ["0a", "21", " 1", "1_", "0b"])
+    def test_non_binary_bitstring_rejected(self, bits):
+        term = PauliTerm(1.0, string({0: "Z", 1: "Z"}))
+        with pytest.raises(ValidationError):
+            expectation_from_counts(term, {"00": 1, bits: 1})
+
 
 class TestGroupCommuting:
     def test_paper_hamiltonian_splits(self):
@@ -273,3 +294,52 @@ class TestGroupCommuting:
             for g in obs.group_commuting():
                 total = total + g
             assert total == obs
+
+
+class TestMaskAlgebra:
+    """The (x, z)-mask operations against 2x2 and dense matrices."""
+
+    @staticmethod
+    def _random_map(rng, n):
+        return {q: str(rng.choice(["I", "X", "Y", "Z"])) for q in range(n)}
+
+    def _pairs(self, seed, count=200, max_qubits=5):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(1, max_qubits + 1))
+            yield n, self._random_map(rng, n), self._random_map(rng, n)
+
+    def test_qubitwise_commutes_matches_per_qubit_matrices(self):
+        for _, a, b in self._pairs(31):
+            want = all(np.allclose(_M[a[q]] @ _M[b[q]], _M[b[q]] @ _M[a[q]]) for q in a)
+            assert string(a).qubitwise_commutes(string(b)) == want
+
+    def test_mul_matches_dense_product(self):
+        for n, a, b in self._pairs(32):
+            phase, product = string(a).mul(string(b))
+            want = oracle_dense([(1, a)], n) @ oracle_dense([(1, b)], n)
+            assert np.allclose(phase * oracle_dense([(1, dict(product.ops))], n), want)
+
+    def test_views_and_str_roundtrip_through_parse(self):
+        for _, a, _ in self._pairs(33, count=100):
+            s = string(a)
+            non_identity = {q: k for q, k in a.items() if k != "I"}
+            assert dict(s.ops) == non_identity
+            assert s.qubits == tuple(sorted(non_identity))
+            assert all(s.op_on(q) == k for q, k in a.items())
+            assert s.op_on(-1) == s.op_on(len(a)) == "I"
+            assert parse_pauli(str(s)) == PauliObservable([(1.0, s)])
+
+    @pytest.mark.parametrize("ops", [{-1: "X"}, {1.5: "X"}, {"0": "Z"},
+                                     {0: "W"}, {0: "x"}, {0: "XY"}, {0: None}])
+    def test_from_map_rejects_bad_qubits_and_kinds(self, ops):
+        with pytest.raises(ValidationError):
+            PauliString.from_map(ops)
+
+    @pytest.mark.parametrize("args", [(((0, "Z"),),), (-1,), (0, -2), (1.0,), (0, "1")])
+    def test_constructor_takes_only_non_negative_int_masks(self, args):
+        with pytest.raises(ValidationError):
+            PauliString(*args)
+
+    def test_mask_layout(self):
+        assert string({0: "X", 2: "Y", 3: "Z"}) == PauliString(x=0b0101, z=0b1100)

@@ -13,6 +13,8 @@ from qcor_rt import (DefaultObjective, ExecutionConfig, FunctionObjective,
                      parse_pauli, sync, task_initiate)
 from qcor_rt.runtime import computational_basis_observable
 
+from conftest import BELL
+
 
 class TestHeterogeneousMap:
     def test_put_get_by_kind(self):
@@ -347,3 +349,23 @@ class TestSynchronousValidation:
         with pytest.raises(ValidationError):
             task_initiate(TaskSpec(kernel=ansatz_1p,
                                    observable=parse_pauli("X0 X1"), params=[bad]))
+
+    def test_measured_kernel_rejected_at_initiate(self):
+        with pytest.raises(ValidationError):
+            task_initiate(TaskSpec(kernel=parse_kernel(BELL), observable=parse_pauli("Z0"),
+                                   params=[]))
+
+    def test_too_narrow_kernel_rejected_at_initiate(self, ansatz_1p):
+        with pytest.raises(ValidationError):
+            task_initiate(TaskSpec(kernel=ansatz_1p, observable=parse_pauli("Z3"),
+                                   params=[0.1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None])
+    def test_bad_initial_point_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            NelderMead({"initial-point": [0.0, bad]})
+
+    @pytest.mark.parametrize("key", ["max-iterations", "tolerance", "initial-step"])
+    def test_non_numeric_option_rejected(self, key):
+        with pytest.raises(ValidationError):
+            NelderMead({key: "abc"})
