@@ -16,7 +16,7 @@ from .results import HeterogeneousMap, Kind, ResultBuffer
 from .runtime import (DefaultObjective, ObjectiveFunction, TaskHandle, TaskSpec,
                       computational_basis_observable, derive_seed,
                       publish_evaluation, sync, task_initiate)
-from .simulator import (ExecutionConfig, ReadoutNoiseModel, StateVector,
-                        apply_gate, exact_distribution, exact_expectation, execute)
+from .simulator import (ExecutionConfig, ReadoutNoiseModel, StateVector, apply_gate,
+                        exact_distribution, exact_distributions, exact_expectation, execute)
 
 __version__ = "0.1.0"

@@ -76,6 +76,12 @@ class Instruction:
         return not isinstance(self.param, str)
 
 
+def basis_change(string: "PauliString") -> list:
+    """Gates that rotate each factor's eigenbasis onto Z, in `string.ops` order."""
+    return [Instruction(gate, (q,)) for q, kind in string.ops
+            for gate in _BASIS_CHANGE[kind]]
+
+
 @dataclass(frozen=True)
 class Kernel:
     name: str
@@ -138,15 +144,11 @@ class Kernel:
             raise ValidationError("cannot add measurements to a kernel with free parameters")
         if self.is_measured():
             raise ValidationError("kernel is already measured")
-        extra = []
-        for q, kind in string.ops:
+        for q in string.qubits:
             if q >= self.num_qubits:
                 raise ValidationError(f"qubit {q} outside the {self.num_qubits}-qubit kernel")
-            for gate in _BASIS_CHANGE[kind]:
-                extra.append(Instruction(gate, (q,)))
-        for q, _ in string.ops:
-            extra.append(Instruction(GateKind.Measure, (q,)))
-        return self.with_instructions(extra)
+        measure = [Instruction(GateKind.Measure, (q,)) for q in string.qubits]
+        return self.with_instructions(basis_change(string) + measure)
 
     def to_source(self) -> str:
         lines = [f"kernel {self.name}({','.join(self.params)}) qubits {self.num_qubits} {{"]

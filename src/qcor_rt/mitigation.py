@@ -95,8 +95,9 @@ def mitigate_counts(counts: Mapping[str, float], calibration: Mapping[int, np.nd
         raise ValidationError(f"calibration missing for qubits {missing}")
     vec = np.zeros(2**k)
     for bits, weight in counts.items():
-        if len(bits) != k:
-            raise ValidationError(f"inconsistent bitstring length in counts: {bits!r}")
+        if not bits or len(bits) != k or bits.strip("01"):
+            raise ValidationError(
+                f"bitstring {bits!r} is not one binary digit per measured qubit {measured}")
         vec[int(bits, 2)] += weight
     total = vec.sum()
     if total == 0:

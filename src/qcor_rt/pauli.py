@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from dataclasses import dataclass
@@ -103,10 +104,18 @@ class PauliTerm:
     string: PauliString
 
     def __post_init__(self):
-        c = complex(self.coefficient)
-        if not (np.isfinite(c.real) and np.isfinite(c.imag)):
-            raise ValidationError(f"non-finite coefficient {self.coefficient!r}")
-        object.__setattr__(self, "coefficient", c)
+        object.__setattr__(self, "coefficient", _coefficient(self.coefficient))
+
+
+def _coefficient(value) -> complex:
+    """`value` as a finite complex number, or ValidationError."""
+    try:
+        c = complex(value)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"coefficient must be a number, got {value!r}") from e
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise ValidationError(f"non-finite coefficient {c!r}")
+    return c
 
 
 def _fmt_float(x: float) -> str:
@@ -131,9 +140,9 @@ class PauliObservable:
                 coeff, string = t.coefficient, t.string
             else:
                 coeff, string = t
-                coeff = complex(coeff)
-            if not (np.isfinite(coeff.real) and np.isfinite(coeff.imag)):
-                raise ValidationError(f"non-finite coefficient {coeff!r}")
+                coeff = _coefficient(coeff)
+            if not isinstance(string, PauliString):
+                raise ValidationError(f"term string must be a PauliString, got {string!r}")
             acc[string] = acc.get(string, 0j) + coeff
         self._terms = {s: c for s, c in acc.items() if c != 0}
 
@@ -248,21 +257,17 @@ class PauliObservable:
             )
 
     def observe(self, kernel: "Kernel"):
-        """Produce one measured kernel per non-identity term.
-
-        Returns (pairs, offset): `pairs` is a list of (PauliTerm, measured
-        Kernel); `offset` is the summed coefficient of identity terms,
-        carried analytically instead of running a no-op circuit.
-        """
+        """(pairs, offset): one (PauliTerm, measured Kernel) pair per
+        non-identity term, and the identity coefficient, carried analytically
+        instead of running a no-op circuit."""
         self.check_kernel(kernel)
-        pairs = []
-        offset = 0j
-        for term in self.terms:
-            if not term.string.ops:
-                offset += term.coefficient
-            else:
-                pairs.append((term, kernel.with_measurement_basis(term.string)))
-        return pairs, offset
+        terms, offset = self.split_identity()
+        return [(t, kernel.with_measurement_basis(t.string)) for t in terms], offset
+
+    def split_identity(self) -> tuple:
+        """(non-identity terms in `terms` order, identity coefficient); adding
+        it to 0j turns a -0.0 real part into 0.0."""
+        return [t for t in self.terms if t.string.ops], 0j + self.identity_coefficient()
 
     def group_commuting(self) -> list:
         """Greedy partition into qubit-wise commuting groups."""

@@ -19,7 +19,7 @@ from .errors import TaskError, ValidationError
 from .kernel import Kernel, identity_kernel
 from .pauli import PauliObservable, PauliString, PauliTerm, expectation_from_counts
 from .results import HeterogeneousMap, ResultBuffer
-from .simulator import ExecutionConfig, exact_distribution, execute
+from .simulator import ExecutionConfig, exact_distributions, execute
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -64,8 +64,8 @@ class ObjectiveFunction:
 class DefaultObjective(ObjectiveFunction):
     """Expectation value of the observable at the given parameters.
 
-    One evaluation binds, observes, measures each non-identity term (exact
-    or sampled), runs the readout-mitigation stage, sums and publishes.  The
+    One evaluation binds, measures each non-identity term (exact or
+    sampled), runs the readout-mitigation stage, sums and publishes.  The
     stage does nothing here; `MitigatedObjective` supplies it.
     """
 
@@ -75,23 +75,31 @@ class DefaultObjective(ObjectiveFunction):
         self._exec_count = 0
         self._exec_lock = threading.Lock()
 
-    def _measure(self, term: PauliTerm, measured_kernel: Kernel) -> TermRun:
-        counts = probabilities = None
+    def _run(self, term: PauliTerm, metadata, counts=None, probabilities=None) -> TermRun:
+        run = TermRun(term, metadata, 0.0, counts, probabilities)
+        run.expectation = expectation_from_counts(term, run.outcomes, term.string.qubits)
+        metadata.put("term", str(term.string))
+        metadata.put("coefficient", term.coefficient)
+        return run
+
+    def _measure(self, bound: Kernel) -> tuple:
+        """(TermRun per non-identity term, identity offset): exact mode evolves once and
+        measures every term from the shared state, sampled mode runs a circuit per term."""
         if self.config.exact:
-            probabilities = exact_distribution(measured_kernel, self.config.noise)
-            metadata = HeterogeneousMap({"mode": "exact"})
-        else:
+            terms, offset = self.observable.split_identity()
+            dists = exact_distributions(bound, [t.string for t in terms], self.config.noise)
+            return [self._run(term, HeterogeneousMap({"mode": "exact"}), probabilities=dist)
+                    for term, dist in zip(terms, dists)], offset
+        pairs, offset = self.observable.observe(bound)
+        runs = []
+        for term, measured_kernel in pairs:
             with self._exec_lock:  # one index per execution, across threads
                 index = self._exec_count
                 self._exec_count += 1
             cfg = self.config.with_seed(derive_seed(self.config.seed, index))
             counts, metadata = execute(measured_kernel, cfg)
-        run = TermRun(term, metadata, 0.0, counts, probabilities)
-        run.expectation = expectation_from_counts(term, run.outcomes,
-                                                  term.string.qubits)
-        metadata.put("term", str(term.string))
-        metadata.put("coefficient", term.coefficient)
-        return run
+            runs.append(self._run(term, metadata, counts=counts))
+        return runs, offset
 
     def _mitigate(self, runs: list) -> bool:
         """Readout-mitigation stage: re-estimate `runs` in place and return
@@ -100,8 +108,7 @@ class DefaultObjective(ObjectiveFunction):
 
     def __call__(self, params: Sequence[float]) -> float:
         bound = self.kernel.bind(params)
-        pairs, offset = self.observable.observe(bound)
-        runs = [self._measure(term, measured) for term, measured in pairs]
+        runs, offset = self._measure(bound)
         value = offset.real + sum(r.expectation for r in runs)
         extra = None
         if self._mitigate(runs):

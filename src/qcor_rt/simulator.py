@@ -17,12 +17,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import GateKind, Instruction, Kernel, ROTATION_GATES
+from .kernel import GateKind, Instruction, Kernel, ROTATION_GATES, basis_change
 from .pauli import DENSE_QUBIT_CAP, PauliObservable
 from .results import HeterogeneousMap
 
 MAX_QUBITS = 24
 MAX_SHOTS = 2**63 - 1  # multinomial draws count in int64
+NORM_TOL = 1e-10  # largest |sum of probabilities - 1| a final state may have
 GENERATOR_NAME = "pcg64"
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -173,19 +174,20 @@ def _evolve(kernel: Kernel) -> np.ndarray:
     return amps
 
 
-def _measured_marginal(kernel: Kernel) -> tuple:
-    """Probability vector over measured qubits (ascending) and their indices."""
-    measured = kernel.measured_qubits()
+def _marginal(amps: np.ndarray, n: int, measured: tuple) -> np.ndarray:
+    """Probability vector over the measured qubits (ascending) of an n-qubit
+    state; a state whose norm has drifted past NORM_TOL is rejected."""
     if not measured:
-        raise ValidationError("kernel has no measurements")
-    amps = _evolve(kernel)
-    n = kernel.num_qubits
+        raise ValidationError("no qubits are measured")
     probs = (np.abs(amps) ** 2).reshape([2] * n)
     drop = tuple(q for q in range(n) if q not in measured)
     if drop:
         probs = probs.sum(axis=drop)
     vec = probs.reshape(-1)
-    return vec / vec.sum(), measured
+    total = vec.sum()
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValidationError(f"state norm drifted: probabilities sum to {total!r}")
+    return vec / total
 
 
 def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
@@ -199,20 +201,43 @@ def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
     return np.ascontiguousarray(t).reshape(-1)
 
 
-def exact_distribution(kernel: Kernel, noise: ReadoutNoiseModel | None = None) -> dict:
-    """Exact outcome distribution over measured qubits, optionally corrupted
-    analytically by the readout noise model."""
-    vec, measured = _measured_marginal(kernel)
+def _distribution(vec: np.ndarray, measured: tuple, noise: ReadoutNoiseModel | None) -> dict:
     if noise is not None:
         vec = apply_per_qubit(vec, [noise.confusion_matrix(q) for q in measured])
     k = len(measured)
     return {format(i, f"0{k}b"): float(p) for i, p in enumerate(vec) if p > 0.0}
 
 
+def exact_distribution(kernel: Kernel, noise: ReadoutNoiseModel | None = None) -> dict:
+    """Exact outcome distribution over measured qubits, optionally corrupted
+    analytically by the readout noise model."""
+    measured = kernel.measured_qubits()
+    return _distribution(_marginal(_evolve(kernel), kernel.num_qubits, measured), measured, noise)
+
+
+def exact_distributions(kernel: Kernel, strings, noise: ReadoutNoiseModel | None = None) -> list:
+    """`exact_distribution(kernel.with_measurement_basis(s), noise)` for each Pauli
+    string s, from one evolution of the bound, unmeasured kernel."""
+    if kernel.is_measured():
+        raise ValidationError("exact_distributions requires an unmeasured kernel")
+    n = kernel.num_qubits
+    state = _evolve(kernel)
+    out = []
+    for string in strings:
+        if string.qubits and string.qubits[-1] >= n:
+            raise ValidationError(f"qubit {string.qubits[-1]} outside the {n}-qubit kernel")
+        amps = state  # basis changes are one-qubit gates, which return a new array
+        for instr in basis_change(string):
+            amps = _apply_inplace(amps, n, instr)
+        out.append(_distribution(_marginal(amps, n, string.qubits), string.qubits, noise))
+    return out
+
+
 def execute(kernel: Kernel, config: ExecutionConfig):
     """Run a bound, measured kernel; returns (counts, metadata)."""
     start = time.perf_counter()
-    vec, measured = _measured_marginal(kernel)
+    measured = kernel.measured_qubits()
+    vec = _marginal(_evolve(kernel), kernel.num_qubits, measured)
     k = len(measured)
     rng = np.random.default_rng(config.seed)
     counts_vec = rng.multinomial(config.shots, vec)

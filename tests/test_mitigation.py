@@ -113,6 +113,19 @@ class TestMitigateCounts:
         with pytest.raises(ValidationError):
             mitigate_counts({}, {0: np.eye(2)})
 
+    @pytest.mark.parametrize("bits", ["0a", "2", "1 ", "-1", "0b"])
+    def test_non_binary_bitstring(self, bits):
+        cal = {0: np.eye(2), 1: np.eye(2)}
+        with pytest.raises(ValidationError, match="binary digit"):
+            mitigate_counts({"0" * len(bits): 1, bits: 1}, cal, range(len(bits)))
+
+    def test_bitstring_length_mismatch_and_zero_width(self):
+        cal = {0: np.eye(2), 1: np.eye(2)}
+        with pytest.raises(ValidationError, match="binary digit"):
+            mitigate_counts({"01": 1, "1": 2}, cal)
+        with pytest.raises(ValidationError):
+            mitigate_counts({"": 1}, cal)
+
 
 class TestMitigatedObjective:
     def _objective(self, config, sink=None, kernel_src=None):

@@ -138,6 +138,26 @@ class TestSimplify:
             parse_pauli("X0").simplify(-1.0)
 
 
+class TestConstructionValidation:
+    @pytest.mark.parametrize("bad", ["X0", ((0, "X"),), 1, None])
+    def test_rejects_non_pauli_string(self, bad):
+        with pytest.raises(ValidationError, match="PauliString"):
+            PauliObservable([(1.0, bad)])
+        with pytest.raises(ValidationError, match="PauliString"):
+            PauliObservable([PauliTerm(1.0, bad)])
+
+    @pytest.mark.parametrize("bad", ["abc", None, object(), [1.0]])
+    def test_rejects_non_numeric_coefficient(self, bad):
+        with pytest.raises(ValidationError, match="coefficient"):
+            PauliObservable([(bad, string({0: "X"}))])
+        with pytest.raises(ValidationError, match="coefficient"):
+            PauliTerm(bad, string({0: "X"}))
+
+    def test_numeric_coefficients_still_accepted(self):
+        obs = PauliObservable([(np.float64(0.5), string({0: "X"})), ("1+2j", string({1: "Z"}))])
+        assert obs.to_string() == "(0.5,0) X0 + (1,2) Z1"
+
+
 class TestDense:
     def test_z0(self):
         assert np.allclose(parse_pauli("Z0").to_dense(1), np.diag([1, -1]))

@@ -11,9 +11,11 @@ from qcor_rt import (DefaultObjective, ExecutionConfig, FunctionObjective,
                      TaskHandle, TaskSpec, ValidationError, derive_seed,
                      exact_expectation, make_optimizer, parse_kernel,
                      parse_pauli, sync, task_initiate)
+from qcor_rt import (MitigatedObjective, PauliObservable, ReadoutNoiseModel,
+                     exact_distribution, simulator)
 from qcor_rt.runtime import computational_basis_observable
 
-from conftest import BELL
+from conftest import BELL, random_bound_kernel, random_hermitian_observable
 
 
 class TestHeterogeneousMap:
@@ -286,6 +288,59 @@ class TestTaskLifecycle:
             sync(h)
         # both 0.3 s objectives must have overlapped
         assert time.perf_counter() - start < 0.55
+
+
+class TestExactEvaluation:
+    """Exact mode measures every term from one evolution of the ansatz."""
+
+    NOISE = ReadoutNoiseModel(p01=0.04, p10=0.09)
+
+    @staticmethod
+    def _observable(rng, n):
+        obs = random_hermitian_observable(rng, max_qubits=n, max_terms=8)
+        return obs + PauliObservable.identity(float(rng.normal()))
+
+    def test_published_distributions_equal_per_term_kernels(self):
+        rng = np.random.default_rng(97)
+        for trial in range(16):
+            n = int(rng.integers(1, 9))
+            kernel = random_bound_kernel(rng, num_qubits=n, depth=3 * n)
+            obs = self._observable(rng, n)
+            noise = self.NOISE if trial % 2 else None
+            sink = ResultBuffer()
+            DefaultObjective(obs, kernel, ExecutionConfig(exact=True, noise=noise), sink)(())
+            terms, _ = obs.split_identity()
+            runs = sink.children[0].children
+            assert [r.metadata.get("term", str) for r in runs] == [str(t.string) for t in terms]
+            for term, run in zip(terms, runs):
+                want = exact_distribution(kernel.with_measurement_basis(term.string), noise)
+                assert run.metadata.to_dict()["distribution"] == want
+
+    def test_noise_free_value_matches_dense_oracle(self):
+        rng = np.random.default_rng(101)
+        for _ in range(16):
+            n = int(rng.integers(1, 9))
+            kernel = random_bound_kernel(rng, num_qubits=n, depth=3 * n)
+            obs = self._observable(rng, n)
+            got = DefaultObjective(obs, kernel, ExecutionConfig(exact=True))(())
+            assert abs(got - exact_expectation(kernel, obs)) <= 1e-10
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_one_evolution_per_evaluation(self, monkeypatch, ansatz_2p, mitigate):
+        calls = []
+
+        def evolve(kernel):
+            calls.append(kernel)
+            return real_evolve(kernel)
+
+        real_evolve = simulator._evolve
+        monkeypatch.setattr(simulator, "_evolve", evolve)
+        obs = parse_pauli("X0 X1 + Z0 Z1 + (0.5,0) Y0 + Z1 + (2,0) I")
+        obj = DefaultObjective(obs, ansatz_2p, ExecutionConfig(exact=True, noise=self.NOISE))
+        if mitigate:
+            obj = MitigatedObjective(obj)
+        obj([0.3, -0.8])
+        assert len(calls) == 1 and not calls[0].is_measured()
 
 
 class TestBasesRunInParallelEquivalence:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qcor_rt import (ExecutionConfig, GateKind, Instruction, Kernel,
-                     ReadoutNoiseModel, StateVector, ValidationError,
-                     apply_gate, exact_distribution, exact_expectation,
+                     PauliString, ReadoutNoiseModel,
+                     StateVector, ValidationError, apply_gate,
+                     exact_distribution, exact_distributions, exact_expectation,
                      execute, parse_kernel, parse_pauli)
+from qcor_rt import simulator
 
-from conftest import random_bound_kernel
+from conftest import random_bound_kernel, random_hermitian_observable
 
 
 def kernel_of(num_qubits, *instrs):
@@ -154,6 +156,67 @@ class TestExactDistribution:
         dist = exact_distribution(k, ReadoutNoiseModel(p10=0.1))
         assert dist["0"] == pytest.approx(0.1)
         assert dist["1"] == pytest.approx(0.9)
+
+
+class TestExactDistributions:
+    NOISE = ReadoutNoiseModel(p01=0.03, p10=0.08, per_qubit={1: (0.1, 0.2)})
+
+    def test_equals_one_measured_kernel_per_string(self):
+        rng = np.random.default_rng(83)
+        for trial in range(24):
+            n = int(rng.integers(1, 9))
+            kernel = random_bound_kernel(rng, num_qubits=n, depth=3 * n)
+            strings = [t.string for t in random_hermitian_observable(
+                rng, max_qubits=n, max_terms=6).terms if t.string.ops]
+            noise = self.NOISE if trial % 2 else None
+            got = exact_distributions(kernel, strings, noise)
+            assert len(got) == len(strings)
+            for string, dist in zip(strings, got):
+                want = exact_distribution(kernel.with_measurement_basis(string), noise)
+                assert dist == want  # bit for bit, not approximately
+
+    def test_evolves_once_and_leaves_the_shared_state_alone(self, monkeypatch):
+        states = []  # (shared state, copy taken when it was made)
+
+        def evolve(kernel):
+            state = real_evolve(kernel)
+            states.append((state, state.copy()))
+            return state
+
+        real_evolve = simulator._evolve
+        monkeypatch.setattr(simulator, "_evolve", evolve)
+        kernel = random_bound_kernel(np.random.default_rng(89), num_qubits=4, depth=12)
+        strings = [PauliString.from_map(ops) for ops in
+                   ({0: "X"}, {1: "Y", 3: "X"}, {2: "Z"}, {0: "Y", 1: "Y", 2: "X", 3: "Z"},
+                    {3: "Y"})]
+        exact_distributions(kernel, strings, self.NOISE)
+        assert len(states) == 1
+        assert np.array_equal(states[0][0], states[0][1])
+
+    def test_rejects_measured_kernel_and_wide_string(self):
+        k = kernel_of(2, Instruction(GateKind.H, (0,)))
+        with pytest.raises(ValidationError):
+            exact_distributions(k.with_measurement_basis(PauliString(z=1)), [])
+        with pytest.raises(ValidationError, match="outside"):
+            exact_distributions(k, [PauliString(x=4)])
+        with pytest.raises(ValidationError):
+            exact_distributions(k, [PauliString()])  # identity: nothing to measure
+
+
+class TestMarginal:
+    def test_rejects_drifted_norm(self):
+        amps = np.array([1.0, 1.0, 0.0, 1e-4], dtype=complex)
+        with pytest.raises(ValidationError, match="norm"):
+            simulator._marginal(amps, 2, (0, 1))
+        with pytest.raises(ValidationError, match="norm"):
+            simulator._marginal(amps / 2, 2, (1,))
+
+    def test_accepts_rounding_and_divides_by_the_sum(self):
+        amps = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex) * (1 + 1e-12)
+        vec = simulator._marginal(amps, 2, (1,))
+        probs = np.abs(amps) ** 2
+        want = np.array([probs[0] + probs[2], probs[1] + probs[3]])
+        assert np.array_equal(vec, want / want.sum())
 
 
 class TestExactExpectation:
