@@ -11,7 +11,7 @@ from .mitigation import (MitigatedObjective, calibrate, confusion_from_noise,
                          mitigate_counts)
 from .optimizers import FunctionObjective, NelderMead, Optimizer, make_optimizer
 from .pauli import (PauliObservable, PauliString, PauliTerm,
-                    expectation_from_counts, parse_pauli)
+                    expectation_from_counts, expectation_from_vector, parse_pauli)
 from .results import HeterogeneousMap, Kind, ResultBuffer
 from .runtime import (DefaultObjective, ObjectiveFunction, TaskHandle, TaskSpec,
                       computational_basis_observable, derive_seed,

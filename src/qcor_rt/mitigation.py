@@ -9,10 +9,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernel import GateKind, Instruction, Kernel
-from .pauli import expectation_from_counts
+from .pauli import expectation_from_vector
 from .results import HeterogeneousMap
 from .runtime import DefaultObjective, derive_seed
-from .simulator import ExecutionConfig, ReadoutNoiseModel, apply_per_qubit, execute
+from .simulator import (ExecutionConfig, ReadoutNoiseModel, apply_per_qubit, bitstring_map,
+                        execute)
 
 MIN_CALIBRATION_SHOTS = 100
 MIN_DETERMINANT = 1e-6
@@ -76,6 +77,31 @@ def calibrate(num_qubits: int, config: ExecutionConfig) -> dict:
     return matrices
 
 
+def _counts_vector(counts: Mapping[str, float], measured: Sequence[int]) -> np.ndarray:
+    """Dense 2^k outcome vector of a counts map whose bitstrings cover `measured`."""
+    k = len(measured)
+    vec = np.zeros(2**k)
+    for bits, weight in counts.items():
+        if not bits or len(bits) != k or bits.strip("01"):
+            raise ValidationError(
+                f"bitstring {bits!r} is not one binary digit per measured qubit {measured}")
+        vec[int(bits, 2)] += weight
+    return vec
+
+
+def _invert(vec: np.ndarray, inverse: Mapping[int, np.ndarray],
+            measured: Sequence[int]) -> np.ndarray:
+    """Quasi-distribution vector: `vec` over `measured`, normalized, then
+    corrected by each qubit's inverse confusion matrix."""
+    missing = [q for q in measured if q not in inverse]
+    if missing:
+        raise ValidationError(f"calibration missing for qubits {missing}")
+    total = vec.sum()
+    if total == 0:
+        raise ValidationError("counts sum to zero")
+    return apply_per_qubit(vec / total, [inverse[q] for q in measured])
+
+
 def mitigate_counts(counts: Mapping[str, float], calibration: Mapping[int, np.ndarray],
                     measured_qubits: Sequence[int] | None = None) -> dict:
     """Invert the factorized confusion matrix over a counts map.
@@ -86,25 +112,12 @@ def mitigate_counts(counts: Mapping[str, float], calibration: Mapping[int, np.nd
     """
     if not counts:
         raise ValidationError("empty counts")
-    k = len(next(iter(counts)))
-    measured = sorted(measured_qubits) if measured_qubits is not None else list(range(k))
-    if len(measured) != k:
-        raise ValidationError("measured qubit list does not match bitstring length")
-    missing = [q for q in measured if q not in calibration]
-    if missing:
-        raise ValidationError(f"calibration missing for qubits {missing}")
-    vec = np.zeros(2**k)
-    for bits, weight in counts.items():
-        if not bits or len(bits) != k or bits.strip("01"):
-            raise ValidationError(
-                f"bitstring {bits!r} is not one binary digit per measured qubit {measured}")
-        vec[int(bits, 2)] += weight
-    total = vec.sum()
-    if total == 0:
-        raise ValidationError("counts sum to zero")
-    inverses = [np.linalg.inv(validate_confusion_matrix(calibration[q])) for q in measured]
-    flat = apply_per_qubit(vec / total, inverses)
-    return {format(i, f"0{k}b"): float(v) for i, v in enumerate(flat) if v != 0.0}
+    measured = (sorted(measured_qubits) if measured_qubits is not None
+                else list(range(len(next(iter(counts))))))
+    vec = _counts_vector(counts, measured)  # checks every bitstring's length
+    inverse = {q: np.linalg.inv(validate_confusion_matrix(calibration[q]))
+               for q in measured if q in calibration}
+    return bitstring_map(_invert(vec, inverse, measured), len(measured))
 
 
 class MitigatedObjective(DefaultObjective):
@@ -124,31 +137,35 @@ class MitigatedObjective(DefaultObjective):
             raise ValidationError("MitigatedObjective wraps a DefaultObjective")
         super().__init__(inner.observable, inner.kernel, inner.config, inner.sink)
         self.inner = inner
-        self._calibration = (
-            {q: validate_confusion_matrix(m) for q, m in calibration.items()}
+        self._inverse = (  # inverse confusion matrix per calibrated qubit
+            {q: np.linalg.inv(validate_confusion_matrix(m)) for q, m in calibration.items()}
             if calibration is not None else None
         )
-        if self._calibration is None and self.config.exact:
+        if self._inverse is None and self.config.exact:
             confusion_from_noise(self.config.noise, range(self.kernel.num_qubits))
-        elif self._calibration is None:
+        elif self._inverse is None:
             _check_calibration_shots(self.config.shots)
 
     def _ensure_calibration(self) -> dict:
-        if self._calibration is None:
-            self._calibration = calibrate(self.kernel.num_qubits, self.config)
+        """The inverse confusion matrices, calibrating on first use."""
+        if self._inverse is None:
+            calibration = calibrate(self.kernel.num_qubits, self.config)
             if self.sink is not None and "readout-calibration" not in self.sink.metadata:
                 self.sink.metadata.put("readout-calibration", HeterogeneousMap({
                     f"q{q}": [float(x) for x in m.reshape(-1)]
-                    for q, m in sorted(self._calibration.items())
+                    for q, m in sorted(calibration.items())
                 }))
-        return self._calibration
+            self._inverse = {q: np.linalg.inv(m) for q, m in calibration.items()}
+        return self._inverse
 
-    def _corrected(self, run) -> dict:
-        """Quasi-distribution of `run` after this stage and the ones it wraps."""
-        inner = self.inner
-        source = (inner._corrected(run) if isinstance(inner, MitigatedObjective)
-                  else run.outcomes)
-        return mitigate_counts(source, self._ensure_calibration(), run.term.string.qubits)
+    def _corrected(self, run) -> np.ndarray:
+        """Quasi-distribution vector of `run` after this stage and the ones it
+        wraps; sampled counts become a vector once, at the innermost stage."""
+        qubits = run.term.string.qubits
+        source = (self.inner._corrected(run) if isinstance(self.inner, MitigatedObjective)
+                  else run.probabilities if run.counts is None
+                  else _counts_vector(run.counts, qubits))
+        return _invert(source, self._ensure_calibration(), qubits)
 
     def _mitigate(self, runs: list) -> bool:
         self._ensure_calibration()
@@ -156,6 +173,5 @@ class MitigatedObjective(DefaultObjective):
             quasi = self._corrected(run)
             run.metadata.put("raw-expectation", run.expectation)
             run.metadata.put("mitigated", True)
-            run.expectation = expectation_from_counts(run.term, quasi,
-                                                      run.term.string.qubits)
+            run.expectation = expectation_from_vector(run.term, quasi)
         return True

@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
@@ -131,20 +132,21 @@ def _string_sort_key(s: PauliString):
 class PauliObservable:
     """Weighted sum of Pauli strings, at most one term per distinct string."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_sorted")
 
     def __init__(self, terms: Iterable = ()):
         acc = {}
         for t in terms:
-            if isinstance(t, PauliTerm):
-                coeff, string = t.coefficient, t.string
-            else:
-                coeff, string = t
-                coeff = _coefficient(coeff)
+            try:
+                coeff, string = (t.coefficient, t.string) if isinstance(t, PauliTerm) else t
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"term is not a (coefficient, PauliString) pair: {t!r}") from e
+            coeff = _coefficient(coeff)
             if not isinstance(string, PauliString):
                 raise ValidationError(f"term string must be a PauliString, got {string!r}")
             acc[string] = acc.get(string, 0j) + coeff
         self._terms = {s: c for s, c in acc.items() if c != 0}
+        self._sorted = None  # `terms`, built on first access
 
     @classmethod
     def identity(cls, coefficient=1.0) -> "PauliObservable":
@@ -152,10 +154,10 @@ class PauliObservable:
 
     @property
     def terms(self) -> tuple:
-        return tuple(
-            PauliTerm(self._terms[s], s)
-            for s in sorted(self._terms, key=_string_sort_key)
-        )
+        if self._sorted is None:
+            self._sorted = tuple(PauliTerm(self._terms[s], s)
+                                 for s in sorted(self._terms, key=_string_sort_key))
+        return self._sorted
 
     def num_qubits(self) -> int:
         return max(((s.x | s.z).bit_length() for s in self._terms), default=0)
@@ -399,6 +401,27 @@ def parse_pauli(text: str) -> PauliObservable:
 
 # ---------------------------------------------------------------------------
 # estimation
+
+@functools.cache
+def _parity_signs(k: int) -> np.ndarray:
+    """(-1)^popcount(i) for i < 2^k, read-only because the cache shares it."""
+    signs = functools.reduce(np.kron, [np.array([1.0, -1.0])] * k, np.ones(1))
+    signs.flags.writeable = False
+    return signs
+
+
+def expectation_from_vector(term: PauliTerm, weights: np.ndarray) -> float:
+    """Parity-weighted average of a dense outcome vector for one term: entry i
+    weighs outcome format(i, f"0{k}b") over the term's k support qubits
+    (ascending, qubit 0 leftmost).  The estimate uses Re(coefficient)."""
+    k = len(term.string.qubits)
+    if len(weights) != 1 << k:
+        raise ValidationError(f"outcome vector has {len(weights)} entries, not 2^{k}")
+    total = weights.sum()
+    if total == 0:
+        raise ValidationError("counts sum to zero")
+    return float(term.coefficient.real * (_parity_signs(k) @ weights) / total)
+
 
 def expectation_from_counts(term: PauliTerm, counts: Mapping[str, float],
                             measured_qubits=None) -> float:

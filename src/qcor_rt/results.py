@@ -46,6 +46,8 @@ def _kind_of(value) -> tuple:
         return Kind.STRING, value
     if isinstance(value, HeterogeneousMap):
         return Kind.MAP, value
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "fiu":
+        return Kind.REAL_LIST, value.astype(float, copy=False).tolist()
     if isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
         if all(isinstance(v, str) for v in items) and items:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import TaskError, ValidationError
 from .kernel import Kernel, identity_kernel
-from .pauli import PauliObservable, PauliString, PauliTerm, expectation_from_counts
+from .pauli import (PauliObservable, PauliString, PauliTerm, expectation_from_counts,
+                    expectation_from_vector)
 from .results import HeterogeneousMap, ResultBuffer
 from .simulator import ExecutionConfig, exact_distributions, execute
 
@@ -34,13 +35,8 @@ class TermRun:
     term: PauliTerm
     metadata: HeterogeneousMap
     expectation: float
-    counts: dict | None          # integer shot counts (sampled mode)
-    probabilities: dict | None   # outcome distribution (exact mode)
-
-    @property
-    def outcomes(self) -> dict:
-        """The measured distribution: shot counts or exact probabilities."""
-        return self.counts if self.counts is not None else self.probabilities
+    counts: dict | None                # integer shot counts (sampled mode)
+    probabilities: np.ndarray | None   # exact_distributions vector (exact mode)
 
 
 class ObjectiveFunction:
@@ -76,11 +72,11 @@ class DefaultObjective(ObjectiveFunction):
         self._exec_lock = threading.Lock()
 
     def _run(self, term: PauliTerm, metadata, counts=None, probabilities=None) -> TermRun:
-        run = TermRun(term, metadata, 0.0, counts, probabilities)
-        run.expectation = expectation_from_counts(term, run.outcomes, term.string.qubits)
+        expectation = (expectation_from_counts(term, counts) if probabilities is None
+                       else expectation_from_vector(term, probabilities))
         metadata.put("term", str(term.string))
         metadata.put("coefficient", term.coefficient)
-        return run
+        return TermRun(term, metadata, expectation, counts, probabilities)
 
     def _measure(self, bound: Kernel) -> tuple:
         """(TermRun per non-identity term, identity offset): exact mode evolves once and
@@ -121,7 +117,8 @@ class DefaultObjective(ObjectiveFunction):
 def publish_evaluation(sink: ResultBuffer | None, params, value, runs,
                        extra: dict | None = None) -> None:
     """Append one evaluation node (with per-kernel grandchildren) to the sink;
-    exact probabilities are not shot counts and go to "distribution"."""
+    exact probabilities are not shot counts and go to "distribution", a
+    REAL_LIST in outcome-index order."""
     if sink is None:
         return
     child = ResultBuffer(HeterogeneousMap({
@@ -132,8 +129,7 @@ def publish_evaluation(sink: ResultBuffer | None, params, value, runs,
     for run in runs:
         grandchild = ResultBuffer(run.metadata, counts=run.counts)
         if run.probabilities is not None:
-            grandchild.metadata.put("distribution",
-                                    HeterogeneousMap(run.probabilities))
+            grandchild.metadata.put("distribution", run.probabilities)
         child.add_child(grandchild)
     sink.add_child(child)
 

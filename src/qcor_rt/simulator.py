@@ -201,23 +201,30 @@ def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
     return np.ascontiguousarray(t).reshape(-1)
 
 
-def _distribution(vec: np.ndarray, measured: tuple, noise: ReadoutNoiseModel | None) -> dict:
+def _distribution(amps: np.ndarray, n: int, measured: tuple, noise) -> np.ndarray:
+    vec = _marginal(amps, n, measured)
     if noise is not None:
         vec = apply_per_qubit(vec, [noise.confusion_matrix(q) for q in measured])
-    k = len(measured)
-    return {format(i, f"0{k}b"): float(p) for i, p in enumerate(vec) if p > 0.0}
+    return vec
+
+
+def bitstring_map(vec: np.ndarray, k: int) -> dict:
+    """The nonzero entries of a 2^k outcome vector keyed format(i, f"0{k}b")."""
+    nonzero = np.flatnonzero(vec)
+    return dict(zip([format(i, f"0{k}b") for i in nonzero.tolist()], vec[nonzero].tolist()))
 
 
 def exact_distribution(kernel: Kernel, noise: ReadoutNoiseModel | None = None) -> dict:
     """Exact outcome distribution over measured qubits, optionally corrupted
     analytically by the readout noise model."""
     measured = kernel.measured_qubits()
-    return _distribution(_marginal(_evolve(kernel), kernel.num_qubits, measured), measured, noise)
+    return bitstring_map(_distribution(_evolve(kernel), kernel.num_qubits, measured, noise),
+                         len(measured))
 
 
 def exact_distributions(kernel: Kernel, strings, noise: ReadoutNoiseModel | None = None) -> list:
-    """`exact_distribution(kernel.with_measurement_basis(s), noise)` for each Pauli
-    string s, from one evolution of the bound, unmeasured kernel."""
+    """Per Pauli string s, `exact_distribution(kernel.with_measurement_basis(s), noise)`
+    as a float64 vector (entry i: outcome format(i, f"0{k}b")), from one evolution."""
     if kernel.is_measured():
         raise ValidationError("exact_distributions requires an unmeasured kernel")
     n = kernel.num_qubits
@@ -229,7 +236,7 @@ def exact_distributions(kernel: Kernel, strings, noise: ReadoutNoiseModel | None
         amps = state  # basis changes are one-qubit gates, which return a new array
         for instr in basis_change(string):
             amps = _apply_inplace(amps, n, instr)
-        out.append(_distribution(_marginal(amps, n, string.qubits), string.qubits, noise))
+        out.append(_distribution(amps, n, string.qubits, noise))
     return out
 
 
@@ -238,14 +245,11 @@ def execute(kernel: Kernel, config: ExecutionConfig):
     start = time.perf_counter()
     measured = kernel.measured_qubits()
     vec = _marginal(_evolve(kernel), kernel.num_qubits, measured)
-    k = len(measured)
     rng = np.random.default_rng(config.seed)
     counts_vec = rng.multinomial(config.shots, vec)
     if config.noise is not None:
         counts_vec = _readout_flips(counts_vec, measured, config.noise, rng)
-    counts = {
-        format(i, f"0{k}b"): int(c) for i, c in enumerate(counts_vec) if c > 0
-    }
+    counts = bitstring_map(counts_vec, len(measured))
     metadata = HeterogeneousMap({
         "shots": config.shots,
         "seed": config.seed,
@@ -265,13 +269,12 @@ def _readout_flips(counts_vec: np.ndarray, measured, noise: ReadoutNoiseModel,
         if p01 == 0.0 and p10 == 0.0:
             continue
         bit = 1 << (k - 1 - pos)
+        # numpy draws nothing where p is 0: the stream of a per-outcome loop
+        nz = np.flatnonzero(counts)
+        flipped = rng.binomial(counts[nz], np.where(nz & bit, p10, p01))
         new = np.zeros_like(counts)
-        for i in np.nonzero(counts)[0]:
-            c = int(counts[i])
-            p = p10 if i & bit else p01
-            flipped = int(rng.binomial(c, p)) if p > 0.0 else 0
-            new[i] += c - flipped
-            new[i ^ bit] += flipped
+        new[nz] = counts[nz] - flipped
+        new[nz ^ bit] += flipped  # nz ^ bit is repeat-free, so no np.add.at
         counts = new
     return counts
 

@@ -64,6 +64,13 @@ def random_hermitian_observable(rng, max_qubits=3, max_terms=4):
     return PauliObservable([(t.coefficient.real, t.string) for t in obs.terms])
 
 
+def indexed_outcomes(vec, k):
+    """{bitstring: weight} of the nonzero entries of a 2^k outcome vector,
+    entry i being outcome format(i, f"0{k}b")."""
+    assert len(vec) == 2**k
+    return {format(i, f"0{k}b"): p for i, p in enumerate(vec) if p != 0}
+
+
 def random_bound_kernel(rng, num_qubits=2, depth=6, name="rand"):
     from qcor_rt import GateKind, Instruction, Kernel
     one_q = [GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S,

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from qcor_rt import (DefaultObjective, ExecutionConfig, MitigatedObjective,
-                     ReadoutNoiseModel, ResultBuffer, ValidationError,
-                     calibrate, confusion_from_noise, exact_expectation,
-                     mitigate_counts, parse_kernel, parse_pauli)
+                     PauliObservable, ReadoutNoiseModel, ResultBuffer, ValidationError,
+                     calibrate, confusion_from_noise, exact_distribution,
+                     exact_expectation, expectation_from_counts, mitigate_counts,
+                     parse_kernel, parse_pauli)
 from qcor_rt.mitigation import validate_confusion_matrix
+
+from conftest import random_bound_kernel, random_hermitian_observable
 
 
 class TestValidateConfusionMatrix:
@@ -194,6 +197,42 @@ class TestMitigatedObjective:
             DefaultObjective(obs, kernel, ExecutionConfig(exact=True, noise=noise)))
         want = exact_expectation(kernel, obs)
         assert obj([]) == pytest.approx(want, abs=1e-10)
+
+
+class TestMitigationOnVectors:
+    """The stage corrects dense outcome vectors; `mitigate_counts` on the
+    published counts or distribution dicts is the reference."""
+
+    NOISE = ReadoutNoiseModel(p01=0.04, p10=0.09, per_qubit={1: (0.1, 0.02)})
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_value_matches_dict_reference(self, exact, nested):
+        rng = np.random.default_rng(151)
+        for _ in range(6):
+            n = int(rng.integers(1, 6))
+            kernel = random_bound_kernel(rng, num_qubits=n, depth=3 * n)
+            obs = random_hermitian_observable(rng, max_qubits=n, max_terms=6)
+            obs = obs + PauliObservable.identity(0.25)
+            config = ExecutionConfig(shots=500, seed=int(rng.integers(1000)),
+                                     noise=self.NOISE, exact=exact)
+            cals = [confusion_from_noise(self.NOISE, range(n))]
+            sink = ResultBuffer()
+            obj = MitigatedObjective(DefaultObjective(obs, kernel, config, sink), cals[0])
+            if nested:
+                cals.append({q: np.array([[0.97, 0.01], [0.03, 0.99]]) for q in range(n)})
+                obj = MitigatedObjective(obj, cals[1])
+            value = obj(())
+            terms, offset = obs.split_identity()
+            want = offset.real
+            for term, node in zip(terms, sink.children[0].children):
+                qubits = term.string.qubits
+                outcomes = (exact_distribution(kernel.with_measurement_basis(term.string),
+                                               self.NOISE) if exact else node.counts)
+                for cal in cals:
+                    outcomes = mitigate_counts(outcomes, cal, qubits)
+                want += expectation_from_counts(term, outcomes, qubits)
+            assert abs(value - want) <= 1e-12
 
 
 class TestMitigatedObjectiveValidation:

@@ -3,7 +3,8 @@ import pytest
 
 from qcor_rt import (ExecutionConfig, Kernel, ParseError, PauliObservable,
                      PauliString, PauliTerm, ValidationError, execute,
-                     expectation_from_counts, identity_kernel, parse_pauli)
+                     expectation_from_counts, expectation_from_vector, identity_kernel,
+                     parse_pauli)
 from qcor_rt.kernel import GateKind, Instruction
 
 from conftest import _M, obs_to_oracle_terms, oracle_dense, random_observable
@@ -153,6 +154,17 @@ class TestConstructionValidation:
         with pytest.raises(ValidationError, match="coefficient"):
             PauliTerm(bad, string({0: "X"}))
 
+    @pytest.mark.parametrize("bad", [1.0, (1.0,), (1.0, PauliString(x=1), 2.0), None, ()])
+    def test_rejects_terms_that_are_not_pairs(self, bad):
+        with pytest.raises(ValidationError, match="pair"):
+            PauliObservable([bad])
+
+    def test_terms_built_once(self):
+        obs = parse_pauli("Z1 + X0 + (2,0) I + Y0 Y1")
+        assert obs.terms is obs.terms
+        assert [str(t.string) for t in obs.terms] == ["I", "X0", "Y0 Y1", "Z1"]
+        assert [t.string for t in obs.split_identity()[0]] == [t.string for t in obs.terms[1:]]
+
     def test_numeric_coefficients_still_accepted(self):
         obs = PauliObservable([(np.float64(0.5), string({0: "X"})), ("1+2j", string({1: "Z"}))])
         assert obs.to_string() == "(0.5,0) X0 + (1,2) Z1"
@@ -281,6 +293,29 @@ class TestExpectationFromCounts:
         term = PauliTerm(1.0, string({0: "Z", 1: "Z"}))
         with pytest.raises(ValidationError):
             expectation_from_counts(term, {"00": 1, bits: 1})
+
+
+class TestExpectationFromVector:
+    def test_agrees_with_counts_estimator(self):
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            k = int(rng.integers(1, 7))
+            ops = {int(q): str(rng.choice(["X", "Y", "Z"]))
+                   for q in rng.choice(9, size=k, replace=False)}
+            term = PauliTerm(complex(rng.normal(), rng.normal()), string(ops))
+            weights = rng.normal(size=2**k) + 0.3  # quasi-probabilities may be negative
+            counts = {format(i, f"0{k}b"): float(w) for i, w in enumerate(weights)}
+            got = expectation_from_vector(term, weights)
+            assert isinstance(got, float)
+            assert got == pytest.approx(expectation_from_counts(term, counts), rel=1e-12, abs=1e-12)
+
+    def test_rejects_wrong_length_and_zero_sum(self):
+        term = PauliTerm(1.0, string({0: "Z", 2: "X"}))
+        for bad in (np.ones(2), np.ones(8), np.ones(0)):
+            with pytest.raises(ValidationError, match="entries"):
+                expectation_from_vector(term, bad)
+        with pytest.raises(ValidationError, match="zero"):
+            expectation_from_vector(term, np.array([1.0, -1.0, 0.0, 0.0]))
 
 
 class TestGroupCommuting:

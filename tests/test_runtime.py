@@ -15,7 +15,8 @@ from qcor_rt import (MitigatedObjective, PauliObservable, ReadoutNoiseModel,
                      exact_distribution, simulator)
 from qcor_rt.runtime import computational_basis_observable
 
-from conftest import BELL, random_bound_kernel, random_hermitian_observable
+from conftest import (BELL, indexed_outcomes, random_bound_kernel,
+                      random_hermitian_observable)
 
 
 class TestHeterogeneousMap:
@@ -41,6 +42,20 @@ class TestHeterogeneousMap:
     def test_real_list(self):
         m = HeterogeneousMap({"params": [0.1, 0.2]})
         assert m.get("params", Kind.REAL_LIST) == [0.1, 0.2]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint8])
+    def test_real_arrays_store_as_python_floats(self, dtype):
+        arr = np.array([0.5, 1.0, 0.0, 3.0]).astype(dtype)
+        stored = HeterogeneousMap({"d": arr}).get("d", Kind.REAL_LIST)
+        assert stored == [float(v) for v in arr]
+        assert all(type(v) is float for v in stored)
+        assert HeterogeneousMap({"d": np.zeros(0)}).get("d", Kind.REAL_LIST) == []
+
+    @pytest.mark.parametrize("bad", [np.array([1 + 1j, 2.0]), np.array([True, False]),
+                                     np.ones((2, 2))])
+    def test_other_arrays_still_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            HeterogeneousMap({"d": bad})
 
     def test_nested_map(self):
         inner = HeterogeneousMap({"x": 1.0})
@@ -314,7 +329,8 @@ class TestExactEvaluation:
             assert [r.metadata.get("term", str) for r in runs] == [str(t.string) for t in terms]
             for term, run in zip(terms, runs):
                 want = exact_distribution(kernel.with_measurement_basis(term.string), noise)
-                assert run.metadata.to_dict()["distribution"] == want
+                got = run.metadata.get("distribution", Kind.REAL_LIST)
+                assert indexed_outcomes(got, len(term.string.qubits)) == want
 
     def test_noise_free_value_matches_dense_oracle(self):
         rng = np.random.default_rng(101)

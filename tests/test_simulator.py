@@ -10,7 +10,7 @@ from qcor_rt import (ExecutionConfig, GateKind, Instruction, Kernel,
                      execute, parse_kernel, parse_pauli)
 from qcor_rt import simulator
 
-from conftest import random_bound_kernel, random_hermitian_observable
+from conftest import indexed_outcomes, random_bound_kernel, random_hermitian_observable
 
 
 def kernel_of(num_qubits, *instrs):
@@ -173,7 +173,9 @@ class TestExactDistributions:
             assert len(got) == len(strings)
             for string, dist in zip(strings, got):
                 want = exact_distribution(kernel.with_measurement_basis(string), noise)
-                assert dist == want  # bit for bit, not approximately
+                assert dist.dtype == np.float64
+                # bit for bit, not approximately
+                assert indexed_outcomes(dist, len(string.qubits)) == want
 
     def test_evolves_once_and_leaves_the_shared_state_alone(self, monkeypatch):
         states = []  # (shared state, copy taken when it was made)
@@ -291,6 +293,48 @@ class TestNoiseModel:
     def test_confusion_matrix(self):
         m = ReadoutNoiseModel(p01=0.05, p10=0.10).confusion_matrix(0)
         assert np.allclose(m, [[0.95, 0.10], [0.05, 0.90]])
+
+
+def _loop_readout_flips(counts_vec, measured, noise, rng):
+    """Per-outcome reference for simulator._readout_flips."""
+    k = len(measured)
+    counts = counts_vec.astype(np.int64)
+    for pos, q in enumerate(measured):
+        p01, p10 = noise.probs(q)
+        if p01 == 0.0 and p10 == 0.0:
+            continue
+        bit = 1 << (k - 1 - pos)
+        new = np.zeros_like(counts)
+        for i in np.nonzero(counts)[0]:
+            c = int(counts[i])
+            p = p10 if i & bit else p01
+            flipped = int(rng.binomial(c, p)) if p > 0.0 else 0
+            new[i] += c - flipped
+            new[i ^ bit] += flipped
+        counts = new
+    return counts
+
+
+class TestReadoutFlips:
+    def test_equals_per_outcome_loop_and_its_stream(self):
+        rng = np.random.default_rng(211)
+        probs = (0.0, 0.5, 0.02, 0.3)
+        for case in range(200):
+            k = int(rng.integers(1, 11))
+            measured = tuple(sorted(rng.choice(12, size=k, replace=False).tolist()))
+            overrides = {int(q): (probs[rng.integers(4)], probs[rng.integers(4)])
+                         for q in measured if rng.random() < 0.4}
+            noise = ReadoutNoiseModel(p01=probs[rng.integers(4)], p10=probs[rng.integers(4)],
+                                      per_qubit=overrides or None)
+            weights = rng.random(2**k) * (rng.random(2**k) < 0.5)
+            if not weights.any():
+                weights[0] = 1.0
+            counts = rng.multinomial(int(rng.integers(1, 3000)), weights / weights.sum())
+            got_rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
+            got = simulator._readout_flips(counts, measured, noise, got_rng)
+            want = _loop_readout_flips(counts, measured, noise, want_rng)
+            assert got.dtype == want.dtype and np.array_equal(got, want), case
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
 
 
 class TestExecutionConfig:
