@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .pauli import DENSE_QUBIT_CAP, PauliObservable, PauliString
+from .pauli import DENSE_QUBIT_CAP, PauliObservable, PauliString, _coefficient
 
 _ANNIHILATE = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 _CREATE = _ANNIHILATE.T.conj()
@@ -28,8 +28,8 @@ class LadderOp:
     dagger: bool
 
     def __post_init__(self):
-        if self.site < 0:
-            raise ValidationError(f"negative mode index {self.site}")
+        if not isinstance(self.site, (int, np.integer)) or self.site < 0:
+            raise ValidationError(f"mode index must be a non-negative integer, got {self.site!r}")
 
     def conjugate(self) -> "LadderOp":
         return LadderOp(self.site, not self.dagger)
@@ -44,10 +44,9 @@ class FermionTerm:
     ops: tuple
 
     def __post_init__(self):
-        c = complex(self.coefficient)
-        if not (np.isfinite(c.real) and np.isfinite(c.imag)):
-            raise ValidationError(f"non-finite coefficient {self.coefficient!r}")
-        object.__setattr__(self, "coefficient", c)
+        coefficient, ops = _checked_term(self.coefficient, self.ops)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "ops", ops)
 
     def __str__(self):
         body = " ".join(str(op) for op in self.ops)
@@ -65,9 +64,12 @@ class FermionObservable:
             if isinstance(t, FermionTerm):
                 coeff, ops = t.coefficient, t.ops
             else:
-                coeff, ops = t
-                ops = tuple(ops)
-                coeff = complex(coeff)
+                try:
+                    coeff, ops = t
+                except (TypeError, ValueError) as e:
+                    raise ValidationError(
+                        f"term is not a (coefficient, ladder operators) pair: {t!r}") from e
+                coeff, ops = _checked_term(coeff, ops)
             acc[ops] = acc.get(ops, 0j) + coeff
         self._terms = {ops: c for ops, c in acc.items() if c != 0}
 
@@ -121,6 +123,17 @@ class FermionObservable:
             else:
                 parts.append(f"{_fmt_coeff(c)} {term}")
         return " + ".join(parts)
+
+
+def _checked_term(coefficient, ops) -> tuple:
+    """(coefficient as a finite complex, ops as a tuple of LadderOps), or ValidationError."""
+    try:
+        ops = tuple(ops)
+    except TypeError as e:
+        raise ValidationError(f"term operators must be a sequence, got {ops!r}") from e
+    if not all(isinstance(op, LadderOp) for op in ops):
+        raise ValidationError(f"term operators must be LadderOps, got {ops!r}")
+    return _coefficient(coefficient), ops
 
 
 def _term_sort_key(ops: tuple):

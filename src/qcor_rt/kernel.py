@@ -15,6 +15,7 @@ immutable; `bind` and the append helpers return new kernels.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -126,8 +127,8 @@ class Kernel:
                 f"kernel {self.name!r} takes {len(self.params)} parameter(s), got {len(values)}"
             )
         for v in values:
-            if not math.isfinite(v):
-                raise ValidationError(f"non-finite parameter value {v!r}")
+            if not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValidationError(f"parameter value must be a finite number, got {v!r}")
         table = dict(zip(self.params, (float(v) for v in values)))
         body = tuple(
             replace(i, param=table[i.param]) if isinstance(i.param, str) else i

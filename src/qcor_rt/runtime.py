@@ -8,7 +8,9 @@ task runs); nothing is shared in place with the caller.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,7 +22,7 @@ from .kernel import Kernel, identity_kernel
 from .pauli import (PauliObservable, PauliString, PauliTerm, expectation_from_counts,
                     expectation_from_vector)
 from .results import HeterogeneousMap, ResultBuffer
-from .simulator import ExecutionConfig, exact_distributions, execute
+from .simulator import ExecutionConfig, exact_distributions, sample_counts
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -79,21 +81,24 @@ class DefaultObjective(ObjectiveFunction):
         return TermRun(term, metadata, expectation, counts, probabilities)
 
     def _measure(self, bound: Kernel) -> tuple:
-        """(TermRun per non-identity term, identity offset): exact mode evolves once and
-        measures every term from the shared state, sampled mode runs a circuit per term."""
-        if self.config.exact:
-            terms, offset = self.observable.split_identity()
-            dists = exact_distributions(bound, [t.string for t in terms], self.config.noise)
-            return [self._run(term, HeterogeneousMap({"mode": "exact"}), probabilities=dist)
-                    for term, dist in zip(terms, dists)], offset
-        pairs, offset = self.observable.observe(bound)
+        """(TermRun per non-identity term, identity offset), every term measured
+        from one evolution: exact mode publishes its outcome vector, sampled mode
+        draws shots from the noiseless one with the next per-execution seed."""
+        terms, offset = self.observable.split_identity()
+        exact = self.config.exact
+        dists = exact_distributions(bound, [t.string for t in terms],
+                                    self.config.noise if exact else None)
         runs = []
-        for term, measured_kernel in pairs:
+        for term, dist in zip(terms, dists):
+            if exact:
+                runs.append(self._run(term, HeterogeneousMap({"mode": "exact"}),
+                                      probabilities=dist))
+                continue
             with self._exec_lock:  # one index per execution, across threads
                 index = self._exec_count
                 self._exec_count += 1
             cfg = self.config.with_seed(derive_seed(self.config.seed, index))
-            counts, metadata = execute(measured_kernel, cfg)
+            counts, metadata = sample_counts(dist, term.string.qubits, cfg, time.perf_counter())
             runs.append(self._run(term, metadata, counts=counts))
         return runs, offset
 
@@ -218,8 +223,8 @@ def _resolve(spec: TaskSpec):
             raise ValidationError(
                 f"objective takes {dims} parameter(s), got {len(params)}"
             )
-        elif not all(math.isfinite(p) for p in params):
-            raise ValidationError(f"parameters must be finite, got {params}")
+        elif not all(isinstance(p, numbers.Real) and math.isfinite(p) for p in params):
+            raise ValidationError(f"parameters must be finite numbers, got {params}")
     return objective, spec.optimizer, params
 
 

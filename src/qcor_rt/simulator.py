@@ -11,8 +11,10 @@ terminal.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -61,7 +63,13 @@ class ReadoutNoiseModel:
     per_qubit: dict | None = None
 
     def __post_init__(self):
-        for q, (a, b) in (self.per_qubit or {}).items():
+        if not isinstance(self.per_qubit, (Mapping, type(None))):
+            raise ValidationError(f"per_qubit must map qubits to pairs, got {self.per_qubit!r}")
+        for q, pair in (self.per_qubit or {}).items():
+            try:
+                a, b = pair
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"per_qubit[{q!r}] is not a (p01, p10) pair: {pair!r}") from e
             _check_prob(a, f"p01[q{q}]")
             _check_prob(b, f"p10[q{q}]")
         _check_prob(self.p01, "p01")
@@ -83,8 +91,8 @@ def _is_int(value) -> bool:
 
 
 def _check_prob(p, name):
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {p}")
+    if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise ValidationError(f"{name} must be a number in [0, 1], got {p!r}")
 
 
 @dataclass
@@ -245,6 +253,13 @@ def execute(kernel: Kernel, config: ExecutionConfig):
     start = time.perf_counter()
     measured = kernel.measured_qubits()
     vec = _marginal(_evolve(kernel), kernel.num_qubits, measured)
+    return sample_counts(vec, measured, config, start)
+
+
+def sample_counts(vec: np.ndarray, measured: tuple, config: ExecutionConfig, start: float):
+    """(counts, metadata) of `config.shots` seeded draws from the noiseless
+    outcome vector `vec` over `measured`, with readout flips under the config's
+    noise model; "wall-time-ms" counts from `start`, a perf_counter reading."""
     rng = np.random.default_rng(config.seed)
     counts_vec = rng.multinomial(config.shots, vec)
     if config.noise is not None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcor_rt import (FermionObservable, LadderOp, ParseError,
+from qcor_rt import (FermionObservable, FermionTerm, LadderOp, ParseError,
                      ValidationError, fermion_to_dense, jordan_wigner,
                      normal_order, parse_fermion, parse_pauli)
 
@@ -148,6 +148,47 @@ class TestDenseOracle:
     def test_mode_cap(self):
         with pytest.raises(ValidationError):
             fermion_to_dense(parse_fermion("0^ 0"), 11)
+
+
+class TestConstructionValidation:
+    NUMBER = (LadderOp(0, True), LadderOp(0, False))
+
+    @pytest.mark.parametrize("bad", [1.0, (1.0,), (1.0, (), 2.0), None, ()])
+    def test_rejects_terms_that_are_not_pairs(self, bad):
+        with pytest.raises(ValidationError, match="pair"):
+            FermionObservable([bad])
+
+    @pytest.mark.parametrize("bad", ["abc", None, object(), [1.0]])
+    def test_rejects_non_numeric_coefficient(self, bad):
+        with pytest.raises(ValidationError, match="coefficient"):
+            FermionObservable([(bad, self.NUMBER)])
+        with pytest.raises(ValidationError, match="coefficient"):
+            FermionTerm(bad, self.NUMBER)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_rejects_non_finite_coefficient(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            FermionObservable([(bad, self.NUMBER)])
+        with pytest.raises(ValidationError, match="non-finite"):
+            FermionTerm(bad, self.NUMBER)
+
+    @pytest.mark.parametrize("bad", [(1,), ("0^",), ((0, True),), 1, None])
+    def test_rejects_operators_that_are_not_ladder_ops(self, bad):
+        with pytest.raises(ValidationError, match="operators"):
+            FermionObservable([(1.0, bad)])
+        with pytest.raises(ValidationError, match="operators"):
+            FermionTerm(1.0, bad)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "0", None])
+    def test_rejects_bad_mode_index(self, bad):
+        with pytest.raises(ValidationError, match="mode index"):
+            LadderOp(bad, True)
+
+    def test_numeric_coefficients_and_op_lists_still_accepted(self):
+        obs = FermionObservable([(np.float64(0.5), list(self.NUMBER)), ("1+2j", ()),
+                                 FermionTerm(2, self.NUMBER)])
+        assert obs == FermionObservable([(2.5, self.NUMBER), (1 + 2j, ())])
+        assert jordan_wigner(obs) == parse_pauli("(2.25,2) I + (-1.25,0) Z0")
 
 
 def _random_fermion(rng, max_modes=3, max_terms=3):

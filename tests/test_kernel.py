@@ -78,8 +78,9 @@ class TestBind:
             ansatz_1p.bind([0.1, 0.2])
 
     def test_non_finite_value(self, ansatz_1p):
-        with pytest.raises(ValidationError):
-            ansatz_1p.bind([float("nan")])
+        for bad in (float("nan"), float("inf"), "a", None, [0.1]):
+            with pytest.raises(ValidationError, match="finite number"):
+                ansatz_1p.bind([bad])
 
     def test_idempotent_once_bound(self, ansatz_1p):
         bound = ansatz_1p.bind([0.3])

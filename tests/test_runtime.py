@@ -12,7 +12,8 @@ from qcor_rt import (DefaultObjective, ExecutionConfig, FunctionObjective,
                      exact_expectation, make_optimizer, parse_kernel,
                      parse_pauli, sync, task_initiate)
 from qcor_rt import (MitigatedObjective, PauliObservable, ReadoutNoiseModel,
-                     exact_distribution, simulator)
+                     confusion_from_noise, exact_distribution, execute, simulator)
+from qcor_rt.results import VOLATILE_KEYS
 from qcor_rt.runtime import computational_basis_observable
 
 from conftest import (BELL, indexed_outcomes, random_bound_kernel,
@@ -306,7 +307,8 @@ class TestTaskLifecycle:
 
 
 class TestExactEvaluation:
-    """Exact mode measures every term from one evolution of the ansatz."""
+    """Exact mode measures every term from one evolution of the ansatz; the
+    evolve-once check covers sampled mode too."""
 
     NOISE = ReadoutNoiseModel(p01=0.04, p10=0.09)
 
@@ -341,8 +343,14 @@ class TestExactEvaluation:
             got = DefaultObjective(obs, kernel, ExecutionConfig(exact=True))(())
             assert abs(got - exact_expectation(kernel, obs)) <= 1e-10
 
-    @pytest.mark.parametrize("mitigate", [False, True])
-    def test_one_evolution_per_evaluation(self, monkeypatch, ansatz_2p, mitigate):
+    # explicit ids keep the exact-mode cases' names stable: "False" and "True"
+    @pytest.mark.parametrize("exact, mitigate", [
+        pytest.param(True, False, id="False"),
+        pytest.param(True, True, id="True"),
+        pytest.param(False, False, id="sampled-False"),
+        pytest.param(False, True, id="sampled-True"),
+    ])
+    def test_one_evolution_per_evaluation(self, monkeypatch, ansatz_2p, exact, mitigate):
         calls = []
 
         def evolve(kernel):
@@ -352,11 +360,49 @@ class TestExactEvaluation:
         real_evolve = simulator._evolve
         monkeypatch.setattr(simulator, "_evolve", evolve)
         obs = parse_pauli("X0 X1 + Z0 Z1 + (0.5,0) Y0 + Z1 + (2,0) I")
-        obj = DefaultObjective(obs, ansatz_2p, ExecutionConfig(exact=True, noise=self.NOISE))
-        if mitigate:
-            obj = MitigatedObjective(obj)
+        obj = DefaultObjective(obs, ansatz_2p, ExecutionConfig(exact=exact, noise=self.NOISE))
+        if mitigate:  # sampled calibration would run circuits of its own
+            calibration = None if exact else confusion_from_noise(self.NOISE, [0, 1])
+            obj = MitigatedObjective(obj, calibration)
         obj([0.3, -0.8])
         assert len(calls) == 1 and not calls[0].is_measured()
+
+
+class TestSampledEvaluation:
+    """Sampled mode draws every term's shots from one evolution; the reference
+    is one measured kernel per term through `execute`, seeded as before."""
+
+    NOISE = ReadoutNoiseModel(p01=0.04, p10=0.09, per_qubit={0: (0.1, 0.02)})
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_published_runs_equal_per_term_executions(self, mitigate):
+        rng = np.random.default_rng(131 + mitigate)
+        for trial in range(12):
+            n = int(rng.integers(1, 9))
+            kernel = random_bound_kernel(rng, num_qubits=n, depth=3 * n)
+            obs = (random_hermitian_observable(rng, max_qubits=n, max_terms=8)
+                   + PauliObservable.identity(0.5))
+            config = ExecutionConfig(shots=int(rng.integers(1, 3000)),
+                                     seed=int(rng.integers(2**32)),
+                                     noise=self.NOISE if trial % 2 else None)
+            sink = ResultBuffer()
+            obj = DefaultObjective(obs, kernel, config, sink)
+            if mitigate:
+                obj = MitigatedObjective(obj, confusion_from_noise(self.NOISE, range(n)))
+            obj(())
+            obj(())  # execution indices carry on across evaluations
+            terms, _ = obs.split_identity()
+            runs = [g for child in sink.children for g in child.children]
+            assert len(runs) == 2 * len(terms)
+            own = ["term", "coefficient"] + (["raw-expectation", "mitigated"] if mitigate else [])
+            for i, (term, run) in enumerate(zip(terms * 2, runs)):
+                counts, metadata = execute(kernel.with_measurement_basis(term.string),
+                                           config.with_seed(derive_seed(config.seed, i)))
+                want = metadata.to_dict(exclude=VOLATILE_KEYS)
+                got = run.metadata.to_dict(exclude=VOLATILE_KEYS)
+                assert run.counts == counts
+                assert list(got.items()) == list(want.items()) + [(k, got[k]) for k in own]
+                assert run.metadata.get("wall-time-ms", float) >= 0
 
 
 class TestBasesRunInParallelEquivalence:
@@ -415,7 +461,7 @@ class TestSharedObjectiveThreads:
 
 
 class TestSynchronousValidation:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a"])
     def test_non_finite_params_rejected_at_initiate(self, ansatz_1p, bad):
         with pytest.raises(ValidationError):
             task_initiate(TaskSpec(kernel=ansatz_1p,

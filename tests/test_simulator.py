@@ -282,8 +282,15 @@ class TestExactExpectation:
 
 class TestNoiseModel:
     def test_probability_bounds(self):
-        with pytest.raises(ValidationError):
-            ReadoutNoiseModel(p01=1.5)
+        for bad in ({"p01": 1.5}, {"p10": float("nan")}, {"p01": "x"}, {"p10": None},
+                    {"per_qubit": {0: (0.1, -0.2)}}, {"per_qubit": {0: (0.1, "x")}}):
+            with pytest.raises(ValidationError, match=r"in \[0, 1\]"):
+                ReadoutNoiseModel(**bad)
+        for bad in ((0.1,), (0.1, 0.2, 0.3), 0.1, None):
+            with pytest.raises(ValidationError, match="pair"):
+                ReadoutNoiseModel(per_qubit={0: bad})
+        with pytest.raises(ValidationError, match="pair"):
+            ReadoutNoiseModel(per_qubit=[(0.1, 0.2)])
 
     def test_per_qubit_override(self):
         noise = ReadoutNoiseModel(p01=0.1, p10=0.2, per_qubit={1: (0.0, 0.5)})
