@@ -15,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .lexer import NUMBER, TokenStream
 from .pauli import DENSE_QUBIT_CAP, PauliObservable, PauliString, _coefficient
 
 _ANNIHILATE = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
@@ -149,10 +150,7 @@ def _fmt_coeff(c: complex, force_complex: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_FTOKEN_RE = re.compile(
-    rf"(?P<num>{_NUM})(?P<dag>\^)?|(?P<punct>[+\-(),^])|(?P<bad>\S)"
-)
+_GRAMMAR = re.compile(rf"(?P<num>{NUMBER})(?P<dag>\^)?|(?P<punct>[+\-(),^])|(?P<bad>\S)")
 
 
 def parse_fermion(text: str) -> FermionObservable:
@@ -164,77 +162,40 @@ def parse_fermion(text: str) -> FermionObservable:
     """
     if not text or not text.strip():
         raise ParseError("empty fermion string", 0)
-    tokens = []
-    for m in _FTOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append(m)
+    ts = TokenStream(_GRAMMAR, text)
     terms = []
-    i = 0
-    sign = 1.0
-    if i < len(tokens) and tokens[i].group() in "+-":
-        sign = -1.0 if tokens[i].group() == "-" else 1.0
-        i += 1
-
+    ladder = {}  # token text -> LadderOp, shared by every factor that spells it
+    sign = ts.sign()
     while True:
-        if i >= len(tokens):
-            raise ParseError("expected a term", len(text))
+        sign *= ts.sign()  # explicit sign on the coefficient
+        tok = ts.peek()
+        if tok is None:
+            raise ParseError("expected a term", ts.where())
         coeff = 1 + 0j
-        tok = tokens[i]
-        if tok.group() in "+-":  # explicit sign on the coefficient
-            sign *= -1.0 if tok.group() == "-" else 1.0
-            i += 1
-            if i >= len(tokens):
-                raise ParseError("expected a term", len(text))
-            tok = tokens[i]
         # Coefficients are "(re,im)" or a real with a '.' or exponent;
         # bare integers are always mode indices ("1 0^" is c_1 c†_0).
-        if tok.group() == "(":
-            i += 1
-            re_part, i = _signed_number(tokens, i, text)
-            if i >= len(tokens) or tokens[i].group() != ",":
-                raise ParseError("expected ',' in complex coefficient",
-                                 tokens[i].start() if i < len(tokens) else len(text))
-            i += 1
-            im_part, i = _signed_number(tokens, i, text)
-            if i >= len(tokens) or tokens[i].group() != ")":
-                raise ParseError("expected ')' in complex coefficient",
-                                 tokens[i].start() if i < len(tokens) else len(text))
-            i += 1
-            coeff = complex(re_part, im_part)
-        elif (tok.group("num") is not None and not tok.group("dag")
-              and ("." in tok.group() or "e" in tok.group().lower())):
-            coeff = complex(float(tok.group("num")), 0.0)
-            i += 1
+        if tok[1] == "(":
+            coeff = ts.complex_literal()
+        elif tok[0] == "num" and not tok[1].isdigit():
+            ts.next()
+            coeff = complex(float(tok[1]), 0.0)
         ops = []
-        while i < len(tokens) and tokens[i].group("num") is not None:
-            m = tokens[i]
-            site_text = m.group("num")
-            if not site_text.isdigit():
-                raise ParseError(f"mode index must be an integer, got {site_text!r}",
-                                 m.start())
-            ops.append(LadderOp(int(site_text), bool(m.group("dag"))))
-            i += 1
+        while (tok := ts.peek()) is not None and tok[0] in ("num", "dag"):
+            ts.next()
+            op = ladder.get(tok[1])
+            if op is None:
+                dagger = tok[0] == "dag"
+                site = ts.index(tok[1][:-1] if dagger else tok[1], tok, "mode index")
+                op = ladder[tok[1]] = LadderOp(site, dagger)
+            ops.append(op)
         terms.append((sign * coeff, tuple(ops)))
-        if i >= len(tokens):
+        tok = ts.peek()
+        if tok is None:
             break
-        tok = tokens[i]
-        if tok.group() not in "+-":
-            raise ParseError(f"expected '+' or '-', got {tok.group()!r}", tok.start())
-        sign = -1.0 if tok.group() == "-" else 1.0
-        i += 1
+        if tok[1] not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', got {tok[1]!r}", tok[2])
+        sign = ts.sign()
     return FermionObservable(terms)
-
-
-def _signed_number(tokens, i, text):
-    sign = 1.0
-    if i < len(tokens) and tokens[i].group() in "+-":
-        sign = -1.0 if tokens[i].group() == "-" else 1.0
-        i += 1
-    if i >= len(tokens) or tokens[i].group("num") is None or tokens[i].group("dag"):
-        raise ParseError("expected number",
-                         tokens[i].start() if i < len(tokens) else len(text))
-    return sign * float(tokens[i].group("num")), i + 1
 
 
 # ---------------------------------------------------------------------------

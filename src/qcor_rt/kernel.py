@@ -22,6 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ParseError, ValidationError
+from .lexer import NUMBER, TokenStream
 
 if TYPE_CHECKING:
     from .pauli import PauliString
@@ -174,155 +175,82 @@ def print_kernel(kernel: Kernel) -> str:
 # ---------------------------------------------------------------------------
 # DSL parsing
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_GRAMMAR = re.compile(
+    rf"(?P<skip>//[^\n]*)|(?P<num>{NUMBER})|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<punct>[(){};,\-])|(?P<bad>[^ \t\r\n])"
+)
+_OPERAND_RE = re.compile(r"q\d+")
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.tokens = []
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch in " \t\r":
-                i += 1
-                col += 1
-                continue
-            if text.startswith("//", i):
-                j = text.find("\n", i)
-                i = len(text) if j < 0 else j
-                continue
-            m = _NUM_RE.match(text, i)
-            if m and ch.isdigit() or (ch == "." and m):
-                self.tokens.append(("num", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-                continue
-            m = _IDENT_RE.match(text, i)
-            if m:
-                self.tokens.append(("ident", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-                continue
-            if ch in "(){};,-":
-                self.tokens.append(("punct", ch, line, col))
-                i += 1
-                col += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", (line, col))
-        self.pos = 0
-        self.end = (line, col)
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def where(self):
-        tok = self.peek()
-        return (tok[2], tok[3]) if tok else self.end
-
-    def expect(self, text, what=None):
-        tok = self.next()
-        if tok is None or tok[1] != text:
-            raise ParseError(
-                f"expected {what or text!r}, got {tok[1]!r}" if tok else f"expected {what or text!r}",
-                (tok[2], tok[3]) if tok else self.end,
-            )
-        return tok
-
-    def expect_kind(self, kind, what):
-        tok = self.next()
-        if tok is None or tok[0] != kind:
-            raise ParseError(
-                f"expected {what}, got {tok[1]!r}" if tok else f"expected {what}",
-                (tok[2], tok[3]) if tok else self.end,
-            )
-        return tok
+def _is_operand(tok) -> bool:
+    return tok is not None and tok[0] == "ident" and _OPERAND_RE.fullmatch(tok[1]) is not None
 
 
-def _parse_operand(lx: _Lexer) -> int:
-    tok = lx.expect_kind("ident", "qubit operand like q0")
-    if not re.fullmatch(r"q\d+", tok[1]):
-        raise ParseError(f"expected qubit operand like q0, got {tok[1]!r}", (tok[2], tok[3]))
+def _parse_operand(ts: TokenStream) -> int:
+    tok = ts.expect_kind("ident", "qubit operand like q0")
+    if not _is_operand(tok):
+        raise ParseError(f"expected qubit operand like q0, got {tok[1]!r}", ts.where(tok))
     return int(tok[1][1:])
 
 
 def parse_kernel(text: str) -> Kernel:
     """Parse a kernel DSL source into a validated Kernel."""
-    lx = _Lexer(text)
-    lx.expect("kernel")
-    name = lx.expect_kind("ident", "kernel name")[1]
-    lx.expect("(")
+    ts = TokenStream(_GRAMMAR, text, lines=True)
+    ts.expect("kernel")
+    name = ts.expect_kind("ident", "kernel name")[1]
+    ts.expect("(")
     params = []
-    tok = lx.peek()
+    tok = ts.peek()
     if tok is not None and tok[1] != ")":
         while True:
-            params.append(lx.expect_kind("ident", "parameter name")[1])
-            tok = lx.next()
-            if tok is None or tok[1] not in ",)":
-                raise ParseError("expected ',' or ')'", (tok[2], tok[3]) if tok else lx.end)
+            params.append(ts.expect_kind("ident", "parameter name")[1])
+            tok = ts.next()
+            if tok is None or tok[1] not in (",", ")"):
+                raise ParseError("expected ',' or ')'", ts.where(tok))
             if tok[1] == ")":
                 break
     else:
-        lx.expect(")")
-    lx.expect("qubits")
-    ntok = lx.expect_kind("num", "qubit count")
+        ts.expect(")")
+    ts.expect("qubits")
+    ntok = ts.expect_kind("num", "qubit count")
     if not ntok[1].isdigit():
-        raise ParseError(f"qubit count must be an integer, got {ntok[1]!r}", (ntok[2], ntok[3]))
+        raise ParseError(f"qubit count must be an integer, got {ntok[1]!r}", ts.where(ntok))
     num_qubits = int(ntok[1])
-    lx.expect("{")
+    ts.expect("{")
     body = []
     while True:
-        tok = lx.peek()
+        tok = ts.peek()
         if tok is None:
-            raise ParseError("unterminated kernel body", lx.end)
+            raise ParseError("unterminated kernel body", ts.where())
         if tok[1] == "}":
-            lx.next()
+            ts.next()
             break
-        gtok = lx.expect_kind("ident", "gate name")
+        gtok = ts.expect_kind("ident", "gate name")
         kind = _GATE_BY_NAME.get(gtok[1])
         if kind is None:
-            raise ParseError(f"unknown gate {gtok[1]!r}", (gtok[2], gtok[3]))
+            raise ParseError(f"unknown gate {gtok[1]!r}", ts.where(gtok))
         param = None
-        if lx.peek() is not None and lx.peek()[1] == "(":
-            lx.next()
-            ptok = lx.peek()
+        if (tok := ts.peek()) is not None and tok[1] == "(":
+            ts.next()
+            ptok = ts.next()
             if ptok is not None and ptok[1] == "-":
-                lx.next()
-                vtok = lx.expect_kind("num", "angle")
-                param = -float(vtok[1])
-            elif ptok is not None and ptok[0] == "num":
-                lx.next()
-                param = float(ptok[1])
-            elif ptok is not None and ptok[0] == "ident":
-                lx.next()
-                param = ptok[1]
+                param = -float(ts.expect_kind("num", "angle")[1])
+            elif ptok is not None and ptok[0] in ("num", "ident"):
+                param = float(ptok[1]) if ptok[0] == "num" else ptok[1]
             else:
-                raise ParseError("expected angle literal or parameter name", lx.where())
-            lx.expect(")")
-        qubits = [_parse_operand(lx)]
-        while lx.peek() is not None and lx.peek()[0] == "ident" and re.fullmatch(r"q\d+", lx.peek()[1]):
-            qubits.append(_parse_operand(lx))
-        lx.expect(";")
+                raise ParseError("expected angle literal or parameter name", ts.where(ptok))
+            ts.expect(")")
+        qubits = [_parse_operand(ts)]
+        while _is_operand(ts.peek()):
+            qubits.append(_parse_operand(ts))
+        ts.expect(";")
         try:
             instr = Instruction(kind, tuple(qubits), param)
         except ValidationError as e:
-            raise ParseError(str(e), (gtok[2], gtok[3])) from e
+            raise ParseError(str(e), ts.where(gtok)) from e
         body.append(instr)
-    if lx.peek() is not None:
-        tok = lx.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", (tok[2], tok[3]))
+    if (tok := ts.peek()) is not None:
+        raise ParseError(f"trailing input {tok[1]!r}", ts.where(tok))
     try:
         return Kernel(name, tuple(params), num_qubits, tuple(body))
     except ValidationError as e:

@@ -160,11 +160,10 @@ class MitigatedObjective(DefaultObjective):
 
     def _corrected(self, run) -> np.ndarray:
         """Quasi-distribution vector of `run` after this stage and the ones it
-        wraps; sampled counts become a vector once, at the innermost stage."""
+        wraps, from its outcome vector at the innermost stage."""
         qubits = run.term.string.qubits
         source = (self.inner._corrected(run) if isinstance(self.inner, MitigatedObjective)
-                  else run.probabilities if run.counts is None
-                  else _counts_vector(run.counts, qubits))
+                  else run.outcomes)
         return _invert(source, self._ensure_calibration(), qubits)
 
     def _mitigate(self, runs: list) -> bool:

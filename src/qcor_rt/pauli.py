@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .lexer import NUMBER, TokenStream
 
 if TYPE_CHECKING:
     from .kernel import Kernel
@@ -287,98 +288,32 @@ class PauliObservable:
 # ---------------------------------------------------------------------------
 # parsing
 
-_NUM_RE = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKEN_RE = re.compile(
-    rf"(?P<num>{_NUM_RE})|(?P<factor>[XYZ]\d+)|(?P<ident>I)|(?P<punct>[+\-(),])|(?P<bad>\S)"
+_GRAMMAR = re.compile(
+    rf"(?P<num>{NUMBER})|(?P<factor>[XYZ]\d+)|(?P<ident>I)|(?P<punct>[+\-(),])|(?P<bad>\S)"
 )
-
-
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens, length):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def here(self):
-        tok = self.peek()
-        return tok[2] if tok is not None else self.length
-
-    def expect(self, text):
-        tok = self.next()
-        if tok is None or tok[1] != text:
-            raise ParseError(f"expected {text!r}", tok[2] if tok else self.length)
-        return tok
-
-
-def _parse_signed_number(ts: _TokenStream) -> float:
-    sign = 1.0
-    tok = ts.peek()
-    if tok is not None and tok[1] in "+-":
-        ts.next()
-        sign = -1.0 if tok[1] == "-" else 1.0
-        tok = ts.peek()
-    if tok is None or tok[0] != "num":
-        raise ParseError("expected number", ts.here())
-    ts.next()
-    return sign * float(tok[1])
-
-
-def _parse_coefficient(ts: _TokenStream) -> complex | None:
-    tok = ts.peek()
-    if tok is None:
-        return None
-    if tok[0] == "num":
-        ts.next()
-        return complex(float(tok[1]), 0.0)
-    if tok[1] == "(":
-        ts.next()
-        re_part = _parse_signed_number(ts)
-        ts.expect(",")
-        im_part = _parse_signed_number(ts)
-        ts.expect(")")
-        return complex(re_part, im_part)
-    return None
 
 
 def parse_pauli(text: str) -> PauliObservable:
     """Parse an observable string, e.g. ``"X0 X1 + (0.5,0) Z0 Z1"``."""
     if not text or not text.strip():
         raise ParseError("empty observable string", 0)
-    ts = _TokenStream(_tokenize(text), len(text))
+    ts = TokenStream(_GRAMMAR, text)
     terms = []
-    sign = 1.0
-    tok = ts.peek()
-    if tok is not None and tok[1] in "+-":  # tolerate a leading sign
-        ts.next()
-        sign = -1.0 if tok[1] == "-" else 1.0
+    sign = ts.sign()  # tolerate a leading sign
     while True:
-        coeff = _parse_coefficient(ts)
-        if coeff is None:
-            coeff = 1 + 0j
+        tok = ts.peek()
+        coeff = 1 + 0j
+        if tok is not None and tok[0] == "num":
+            ts.next()
+            coeff = complex(float(tok[1]), 0.0)
+        elif tok is not None and tok[1] == "(":
+            coeff = ts.complex_literal()
         coeff *= sign
         phase, string = 1 + 0j, PauliString()
         saw_factor = False
         while True:
             tok = ts.peek()
-            if tok is None or tok[1] in "+-":
+            if tok is None or tok[1] in ("+", "-"):
                 break
             ts.next()
             if tok[0] == "ident":  # literal I
@@ -387,15 +322,15 @@ def parse_pauli(text: str) -> PauliObservable:
             if tok[0] != "factor":
                 raise ParseError(f"expected Pauli factor, got {tok[1]!r}", tok[2])
             saw_factor = True
-            p, string = string.mul(PauliString.from_map({int(tok[1][1:]): tok[1][0]}))
+            qubit = ts.index(tok[1][1:], tok, "qubit index")
+            p, string = string.mul(PauliString.from_map({qubit: tok[1][0]}))
             phase *= p
         if not saw_factor:
-            raise ParseError("term has no Pauli factor", ts.here())
+            raise ParseError("term has no Pauli factor", ts.where())
         terms.append((coeff * phase, string))
-        tok = ts.next()
-        if tok is None:
+        if ts.peek() is None:
             break
-        sign = -1.0 if tok[1] == "-" else 1.0
+        sign = ts.sign()
     return PauliObservable(terms)
 
 

@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import TaskError, ValidationError
 from .kernel import Kernel, identity_kernel
-from .pauli import (PauliObservable, PauliString, PauliTerm, expectation_from_counts,
-                    expectation_from_vector)
+from .pauli import PauliObservable, PauliString, PauliTerm, expectation_from_vector
 from .results import HeterogeneousMap, ResultBuffer
-from .simulator import ExecutionConfig, exact_distributions, sample_counts
+from .simulator import (MAX_QUBITS, ExecutionConfig, bitstring_map, exact_distributions,
+                        sample_counts)
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -37,8 +37,7 @@ class TermRun:
     term: PauliTerm
     metadata: HeterogeneousMap
     expectation: float
-    counts: dict | None                # integer shot counts (sampled mode)
-    probabilities: np.ndarray | None   # exact_distributions vector (exact mode)
+    outcomes: np.ndarray  # int64 shot counts (sampled) or float64 probabilities (exact)
 
 
 class ObjectiveFunction:
@@ -69,16 +68,17 @@ class DefaultObjective(ObjectiveFunction):
 
     def __init__(self, observable, kernel, config=None, sink=None):
         observable.check_kernel(kernel)  # fail before any task starts
+        if kernel.num_qubits > MAX_QUBITS:
+            raise ValidationError(
+                f"simulator capped at {MAX_QUBITS} qubits, kernel has {kernel.num_qubits}")
         super().__init__(observable, kernel, config, sink)
         self._exec_count = 0
         self._exec_lock = threading.Lock()
 
-    def _run(self, term: PauliTerm, metadata, counts=None, probabilities=None) -> TermRun:
-        expectation = (expectation_from_counts(term, counts) if probabilities is None
-                       else expectation_from_vector(term, probabilities))
+    def _run(self, term: PauliTerm, metadata, outcomes: np.ndarray) -> TermRun:
         metadata.put("term", str(term.string))
         metadata.put("coefficient", term.coefficient)
-        return TermRun(term, metadata, expectation, counts, probabilities)
+        return TermRun(term, metadata, expectation_from_vector(term, outcomes), outcomes)
 
     def _measure(self, bound: Kernel) -> tuple:
         """(TermRun per non-identity term, identity offset), every term measured
@@ -91,15 +91,14 @@ class DefaultObjective(ObjectiveFunction):
         runs = []
         for term, dist in zip(terms, dists):
             if exact:
-                runs.append(self._run(term, HeterogeneousMap({"mode": "exact"}),
-                                      probabilities=dist))
+                runs.append(self._run(term, HeterogeneousMap({"mode": "exact"}), dist))
                 continue
             with self._exec_lock:  # one index per execution, across threads
                 index = self._exec_count
                 self._exec_count += 1
             cfg = self.config.with_seed(derive_seed(self.config.seed, index))
             counts, metadata = sample_counts(dist, term.string.qubits, cfg, time.perf_counter())
-            runs.append(self._run(term, metadata, counts=counts))
+            runs.append(self._run(term, metadata, counts))
         return runs, offset
 
     def _mitigate(self, runs: list) -> bool:
@@ -121,9 +120,9 @@ class DefaultObjective(ObjectiveFunction):
 
 def publish_evaluation(sink: ResultBuffer | None, params, value, runs,
                        extra: dict | None = None) -> None:
-    """Append one evaluation node (with per-kernel grandchildren) to the sink;
-    exact probabilities are not shot counts and go to "distribution", a
-    REAL_LIST in outcome-index order."""
+    """Append one evaluation node (with per-kernel grandchildren) to the sink:
+    integer outcomes are shot counts, keyed by bitstring; exact probabilities
+    are not, and go to "distribution", a REAL_LIST in outcome-index order."""
     if sink is None:
         return
     child = ResultBuffer(HeterogeneousMap({
@@ -132,9 +131,12 @@ def publish_evaluation(sink: ResultBuffer | None, params, value, runs,
         **(extra or {}),
     }))
     for run in runs:
-        grandchild = ResultBuffer(run.metadata, counts=run.counts)
-        if run.probabilities is not None:
-            grandchild.metadata.put("distribution", run.probabilities)
+        if run.outcomes.dtype.kind == "i":
+            grandchild = ResultBuffer(run.metadata, counts=bitstring_map(
+                run.outcomes, len(run.term.string.qubits)))
+        else:
+            grandchild = ResultBuffer(run.metadata)
+            grandchild.metadata.put("distribution", run.outcomes)
         child.add_child(grandchild)
     sink.add_child(child)
 

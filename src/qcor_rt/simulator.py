@@ -253,18 +253,19 @@ def execute(kernel: Kernel, config: ExecutionConfig):
     start = time.perf_counter()
     measured = kernel.measured_qubits()
     vec = _marginal(_evolve(kernel), kernel.num_qubits, measured)
-    return sample_counts(vec, measured, config, start)
+    counts, metadata = sample_counts(vec, measured, config, start)
+    return bitstring_map(counts, len(measured)), metadata
 
 
 def sample_counts(vec: np.ndarray, measured: tuple, config: ExecutionConfig, start: float):
     """(counts, metadata) of `config.shots` seeded draws from the noiseless
     outcome vector `vec` over `measured`, with readout flips under the config's
-    noise model; "wall-time-ms" counts from `start`, a perf_counter reading."""
+    noise model: counts is an int64 vector indexed like `vec`, and
+    "wall-time-ms" counts from `start`, a perf_counter reading."""
     rng = np.random.default_rng(config.seed)
-    counts_vec = rng.multinomial(config.shots, vec)
+    counts = rng.multinomial(config.shots, vec)
     if config.noise is not None:
-        counts_vec = _readout_flips(counts_vec, measured, config.noise, rng)
-    counts = bitstring_map(counts_vec, len(measured))
+        counts = _readout_flips(counts, measured, config.noise, rng)
     metadata = HeterogeneousMap({
         "shots": config.shots,
         "seed": config.seed,

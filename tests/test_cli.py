@@ -112,6 +112,15 @@ class TestEvaluate:
         assert abs(child["raw-value"] - (-1.0)) > 0.05
         assert "readout-calibration" in payload["metadata"]
 
+    def test_kernel_wider_than_simulator_is_usage_error(self, tmp_path):
+        path = tmp_path / "wide.qk"
+        path.write_text("kernel wide() qubits 30 { H q29; }")
+        proc = run_cli("evaluate", "--kernel", str(path), "--observable", "Z29",
+                       "--exact", "--noise-p10", "0.1", "--mitigate")
+        assert proc.returncode == 2
+        assert "capped at 24 qubits" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
 
 class TestTransform:
     def test_number_operator(self):

@@ -12,7 +12,8 @@ from qcor_rt import (DefaultObjective, ExecutionConfig, FunctionObjective,
                      exact_expectation, make_optimizer, parse_kernel,
                      parse_pauli, sync, task_initiate)
 from qcor_rt import (MitigatedObjective, PauliObservable, ReadoutNoiseModel,
-                     confusion_from_noise, exact_distribution, execute, simulator)
+                     confusion_from_noise, exact_distribution, execute, identity_kernel,
+                     simulator)
 from qcor_rt.results import VOLATILE_KEYS
 from qcor_rt.runtime import computational_basis_observable
 
@@ -476,6 +477,15 @@ class TestSynchronousValidation:
         with pytest.raises(ValidationError):
             task_initiate(TaskSpec(kernel=ansatz_1p, observable=parse_pauli("Z3"),
                                    params=[0.1]))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_too_wide_kernel_rejected_at_construction(self, exact):
+        kernel = identity_kernel(simulator.MAX_QUBITS + 1)
+        config = ExecutionConfig(exact=exact)
+        with pytest.raises(ValidationError, match="capped"):
+            DefaultObjective(parse_pauli("Z0"), kernel, config)
+        with pytest.raises(ValidationError, match="capped"):
+            task_initiate(TaskSpec(kernel=kernel, observable=parse_pauli("Z0"), config=config))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None])
     def test_bad_initial_point_rejected(self, bad):
