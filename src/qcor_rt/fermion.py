@@ -178,7 +178,7 @@ def parse_fermion(text: str) -> FermionObservable:
             coeff = ts.complex_literal()
         elif tok[0] == "num" and not tok[1].isdigit():
             ts.next()
-            coeff = complex(float(tok[1]), 0.0)
+            coeff = complex(ts.number(tok), 0.0)
         ops = []
         while (tok := ts.peek()) is not None and tok[0] in ("num", "dag"):
             ts.next()

@@ -48,8 +48,8 @@ TWO_QUBIT_GATES = {GateKind.CNOT, GateKind.CZ}
 ROTATION_GATES = {GateKind.Rx, GateKind.Ry, GateKind.Rz}
 _GATE_BY_NAME = {g.value: g for g in GateKind}
 
-# Basis change appended before measuring in the X/Y/Z eigenbasis.
-_BASIS_CHANGE = {"X": (GateKind.H,), "Y": (GateKind.Sdg, GateKind.H), "Z": ()}
+# Gates that rotate each Pauli kind's eigenbasis onto Z, in the order applied
+BASIS_CHANGE = {"X": (GateKind.H,), "Y": (GateKind.Sdg, GateKind.H), "Z": ()}
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,6 @@ class Instruction:
 
     def is_bound(self) -> bool:
         return not isinstance(self.param, str)
-
-
-def basis_change(string: "PauliString") -> list:
-    """Gates that rotate each factor's eigenbasis onto Z, in `string.ops` order."""
-    return [Instruction(gate, (q,)) for q, kind in string.ops
-            for gate in _BASIS_CHANGE[kind]]
 
 
 @dataclass(frozen=True)
@@ -149,8 +143,9 @@ class Kernel:
         for q in string.qubits:
             if q >= self.num_qubits:
                 raise ValidationError(f"qubit {q} outside the {self.num_qubits}-qubit kernel")
+        change = [Instruction(gate, (q,)) for q, kind in string.ops for gate in BASIS_CHANGE[kind]]
         measure = [Instruction(GateKind.Measure, (q,)) for q in string.qubits]
-        return self.with_instructions(basis_change(string) + measure)
+        return self.with_instructions(change + measure)
 
     def to_source(self) -> str:
         lines = [f"kernel {self.name}({','.join(self.params)}) qubits {self.num_qubits} {{"]
@@ -190,7 +185,7 @@ def _parse_operand(ts: TokenStream) -> int:
     tok = ts.expect_kind("ident", "qubit operand like q0")
     if not _is_operand(tok):
         raise ParseError(f"expected qubit operand like q0, got {tok[1]!r}", ts.where(tok))
-    return int(tok[1][1:])
+    return ts.index(tok[1][1:], tok, "qubit operand", None)
 
 
 def parse_kernel(text: str) -> Kernel:
@@ -213,9 +208,7 @@ def parse_kernel(text: str) -> Kernel:
         ts.expect(")")
     ts.expect("qubits")
     ntok = ts.expect_kind("num", "qubit count")
-    if not ntok[1].isdigit():
-        raise ParseError(f"qubit count must be an integer, got {ntok[1]!r}", ts.where(ntok))
-    num_qubits = int(ntok[1])
+    num_qubits = ts.index(ntok[1], ntok, "qubit count", None)
     ts.expect("{")
     body = []
     while True:

@@ -8,6 +8,7 @@ a group `bad` is a ParseError, and characters no group matches are skipped.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ParseError
@@ -15,6 +16,8 @@ from .errors import ParseError
 NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 MAX_INDEX = 2**16 - 1  # largest qubit or mode index that text input may name
 _INDEX_DIGITS = len(str(MAX_INDEX))
+# int() may refuse a longer decimal string: the lowest limit Python can be set to
+_MAX_DIGITS = 640
 
 
 class TokenStream:
@@ -81,9 +84,16 @@ class TokenStream:
         self.pos += 1
         return -1.0 if tok[1] == "-" else 1.0
 
+    def number(self, tok) -> float:
+        """The NUMBER token `tok` as a float; ParseError where it overflows."""
+        value = float(tok[1])
+        if value == math.inf:
+            raise ParseError(f"number {tok[1]!r} overflows a float", self.where(tok))
+        return value
+
     def signed_number(self) -> float:
         """A NUMBER token with an optional leading '+' or '-'."""
-        return self.sign() * float(self.expect_kind("num", "number")[1])
+        return self.sign() * self.number(self.expect_kind("num", "number"))
 
     def complex_literal(self) -> complex:
         """``(re,im)`` with optionally signed parts."""
@@ -94,12 +104,17 @@ class TokenStream:
         self.expect(")")
         return complex(re_part, im_part)
 
-    def index(self, digits: str, tok, what: str) -> int:
-        """`digits`, part of token `tok`, as an integer no greater than MAX_INDEX."""
+    def index(self, digits: str, tok, what: str, bound: int | None = MAX_INDEX) -> int:
+        """`digits`, part of token `tok`, as an integer no greater than `bound`;
+        with no bound, as one of at most _MAX_DIGITS significant digits."""
         if not digits.isdigit():
             raise ParseError(f"{what} must be an integer, got {digits!r}", self.where(tok))
         if len(digits) > _INDEX_DIGITS:  # int() refuses a few thousand digits
             digits = digits.lstrip("0") or "0"
-        if len(digits) <= _INDEX_DIGITS and (value := int(digits)) <= MAX_INDEX:
+        if bound is None:
+            if len(digits) <= _MAX_DIGITS:
+                return int(digits)
+            raise ParseError(f"{what} has more than {_MAX_DIGITS} digits", self.where(tok))
+        if len(digits) <= _INDEX_DIGITS and (value := int(digits)) <= bound:
             return value
-        raise ParseError(f"{what} exceeds {MAX_INDEX}", self.where(tok))
+        raise ParseError(f"{what} exceeds {bound}", self.where(tok))

@@ -305,7 +305,7 @@ def parse_pauli(text: str) -> PauliObservable:
         coeff = 1 + 0j
         if tok is not None and tok[0] == "num":
             ts.next()
-            coeff = complex(float(tok[1]), 0.0)
+            coeff = complex(ts.number(tok), 0.0)
         elif tok is not None and tok[1] == "(":
             coeff = ts.complex_literal()
         coeff *= sign

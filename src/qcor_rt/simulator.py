@@ -10,6 +10,7 @@ terminal.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import time
@@ -19,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import GateKind, Instruction, Kernel, ROTATION_GATES, basis_change
+from .kernel import BASIS_CHANGE, ROTATION_GATES, TWO_QUBIT_GATES, GateKind, Instruction, Kernel
 from .pauli import DENSE_QUBIT_CAP, PauliObservable
 from .results import HeterogeneousMap
 
@@ -29,25 +30,26 @@ NORM_TOL = 1e-10  # largest |sum of probabilities - 1| a final state may have
 GENERATOR_NAME = "pcg64"
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+# 2x2 matrices as ((m00, m01), (m10, m11)), row = output basis state
 _FIXED_1Q = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.Sdg: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
+    GateKind.X: ((0, 1), (1, 0)),
+    GateKind.Y: ((0, -1j), (1j, 0)),
+    GateKind.Z: ((1, 0), (0, -1)),
+    GateKind.H: ((_SQ2, _SQ2), (_SQ2, -_SQ2)),
+    GateKind.S: ((1, 0), (0, 1j)),
+    GateKind.Sdg: ((1, 0), (0, -1j)),
+    GateKind.T: ((1, 0), (0, cmath.exp(0.25j * math.pi))),
 }
 _ROTATIONS = {
-    GateKind.Rx: lambda t: np.array(
-        [[math.cos(t / 2), -1j * math.sin(t / 2)],
-         [-1j * math.sin(t / 2), math.cos(t / 2)]], dtype=complex),
-    GateKind.Ry: lambda t: np.array(
-        [[math.cos(t / 2), -math.sin(t / 2)],
-         [math.sin(t / 2), math.cos(t / 2)]], dtype=complex),
-    GateKind.Rz: lambda t: np.array(
-        [[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=complex),
+    GateKind.Rx: lambda t: ((math.cos(t / 2), -1j * math.sin(t / 2)),
+                            (-1j * math.sin(t / 2), math.cos(t / 2))),
+    GateKind.Ry: lambda t: ((math.cos(t / 2), -math.sin(t / 2)),
+                            (math.sin(t / 2), math.cos(t / 2))),
+    GateKind.Rz: lambda t: ((cmath.exp(-0.5j * t), 0), (0, cmath.exp(0.5j * t))),
 }
+# per Pauli kind, the matrices of its basis change, in the order applied
+_BASIS_MATRICES = {kind: tuple(_FIXED_1Q[g] for g in gates)
+                   for kind, gates in BASIS_CHANGE.items()}
 
 
 @dataclass
@@ -131,40 +133,64 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _apply_inplace(amps: np.ndarray, n: int, instr: Instruction) -> np.ndarray:
-    if instr.kind is GateKind.Measure:
-        raise ValidationError("apply_gate cannot apply Measure")
-    if not instr.is_bound():
-        raise ValidationError(f"unbound parameter {instr.param!r}")
-    t = amps.reshape([2] * n)
-    if instr.kind in _FIXED_1Q or instr.kind in ROTATION_GATES:
-        q = instr.qubits[0]
-        mat = (_FIXED_1Q[instr.kind] if instr.kind in _FIXED_1Q
-               else _ROTATIONS[instr.kind](instr.param))
-        t = np.moveaxis(np.tensordot(mat, t, axes=([1], [q])), 0, q)
-        return np.ascontiguousarray(t).reshape(-1)
-    control, target = instr.qubits
-    idx = [slice(None)] * n
-    if instr.kind is GateKind.CNOT:
-        idx[control] = 1
-        block = t[tuple(idx)].copy()
-        flipped = np.flip(block, axis=target - (1 if target > control else 0))
-        t[tuple(idx)] = flipped
-    elif instr.kind is GateKind.CZ:
-        idx[control] = 1
-        idx[target] = 1
-        t[tuple(idx)] *= -1.0
-    else:  # pragma: no cover - exhaustive over GateKind
-        raise ValidationError(f"unsupported gate {instr.kind}")
-    return t.reshape(-1)
+def _apply_1q(vec: np.ndarray, q: int, m) -> None:
+    """Apply the 2x2 matrix m to bit q (0 = most significant) of every index
+    of the contiguous vector vec, in place, on a strided (1 << q, 2, -1) view.
+    A diagonal m scales only the half (or halves) it changes; a Hadamard-like
+    m (c times ((1, 1), (1, -1))) takes a sum and a difference."""
+    (m00, m01), (m10, m11) = m
+    view = vec.reshape(1 << q, 2, -1)
+    a0, a1 = view[:, 0], view[:, 1]
+    if m01 == 0 and m10 == 0:
+        if m00 != 1:
+            a0 *= m00
+        if m11 != 1:
+            a1 *= m11
+        return
+    if m00 == m01 == m10 == -m11:
+        t = a0 - a1
+        a0 += a1
+        a0 *= m00
+        np.multiply(t, m00, out=a1)
+        return
+    t = a0.copy()
+    a0 *= m00
+    a0 += m01 * a1
+    a1 *= m11
+    a1 += m10 * t
+
+
+def _apply(amps: np.ndarray, instr: Instruction) -> None:
+    """Apply one bound, unitary instruction to the state amps, in place."""
+    if instr.kind not in TWO_QUBIT_GATES:
+        mat = (_ROTATIONS[instr.kind](instr.param) if instr.kind in ROTATION_GATES
+               else _FIXED_1Q[instr.kind])
+        _apply_1q(amps, instr.qubits[0], mat)
+        return
+    lo, hi = sorted(instr.qubits)
+    view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    ones = view[:, 1, :, 1]
+    if instr.kind is GateKind.CZ:
+        ones *= -1
+        return
+    # CNOT: swap the target's 0 and 1 slices where the control is 1
+    zero = view[:, 1, :, 0] if instr.qubits[0] == lo else view[:, 0, :, 1]
+    t = zero.copy()
+    zero[...] = ones
+    ones[...] = t
 
 
 def apply_gate(state: StateVector, instr: Instruction) -> StateVector:
     """Pure single-instruction application; returns a new StateVector."""
+    if instr.kind is GateKind.Measure:
+        raise ValidationError("apply_gate cannot apply Measure")
+    if not instr.is_bound():
+        raise ValidationError(f"unbound parameter {instr.param!r}")
     for q in instr.qubits:
         if q >= state.num_qubits:
             raise ValidationError(f"qubit q{q} out of range")
-    amps = _apply_inplace(state.amplitudes.copy(), state.num_qubits, instr)
+    amps = np.array(state.amplitudes, dtype=complex)
+    _apply(amps, instr)
     return StateVector(amps, state.num_qubits)
 
 
@@ -176,9 +202,8 @@ def _evolve(kernel: Kernel) -> np.ndarray:
     amps = np.zeros(2**kernel.num_qubits, dtype=complex)
     amps[0] = 1.0
     for instr in kernel.body:
-        if instr.kind is GateKind.Measure:
-            continue
-        amps = _apply_inplace(amps, kernel.num_qubits, instr)
+        if instr.kind is not GateKind.Measure:
+            _apply(amps, instr)
     return amps
 
 
@@ -199,14 +224,13 @@ def _marginal(amps: np.ndarray, n: int, measured: tuple) -> np.ndarray:
 
 
 def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
-    """Apply the i-th 2x2 matrix to bit position i (leftmost first) of a
-    2^k vector of outcome weights, for k = len(matrices): readout noise
-    with confusion matrices, its mitigation with their inverses."""
-    k = len(matrices)
-    t = vec.reshape([2] * k)
+    """Apply the i-th real 2x2 matrix to bit position i (leftmost first) of a
+    copy of a 2^k vector of outcome weights, for k = len(matrices): readout
+    noise with confusion matrices, its mitigation with their inverses."""
+    out = np.array(vec, dtype=float)
     for pos, mat in enumerate(matrices):
-        t = np.moveaxis(np.tensordot(mat, t, axes=([1], [pos])), 0, pos)
-    return np.ascontiguousarray(t).reshape(-1)
+        _apply_1q(out, pos, mat)
+    return out
 
 
 def _distribution(amps: np.ndarray, n: int, measured: tuple, noise) -> np.ndarray:
@@ -241,9 +265,12 @@ def exact_distributions(kernel: Kernel, strings, noise: ReadoutNoiseModel | None
     for string in strings:
         if string.qubits and string.qubits[-1] >= n:
             raise ValidationError(f"qubit {string.qubits[-1]} outside the {n}-qubit kernel")
-        amps = state  # basis changes are one-qubit gates, which return a new array
-        for instr in basis_change(string):
-            amps = _apply_inplace(amps, n, instr)
+        amps = state
+        if string.x:  # an X or Y factor: rotate a copy onto the Z basis
+            amps = state.copy()
+            for q, kind in string.ops:
+                for mat in _BASIS_MATRICES[kind]:
+                    _apply_1q(amps, q, mat)
         out.append(_distribution(amps, n, string.qubits, noise))
     return out
 

@@ -274,6 +274,11 @@ class TestUsageErrorsExitTwo:
         self._check(run_cli("vqe", "--kernel", ansatz_file, "--observable", "Z0",
                             "--initial-point", bad))
 
+    def test_kernel_integer_beyond_int_digit_limit(self, tmp_path):
+        path = tmp_path / "huge.qk"
+        path.write_text("kernel k() qubits " + "1" * 5000 + " { X q0; Measure q0; }")
+        self._check(run_cli("simulate", "--kernel", str(path)))
+
     def test_singular_exact_mitigation(self, ansatz_file):
         self._check(run_cli("evaluate", "--kernel", ansatz_file, "--observable", "Z0",
                             "--exact", "--noise-p01", "0.5", "--noise-p10", "0.5",

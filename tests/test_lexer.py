@@ -38,6 +38,9 @@ ERROR_POSITIONS = [
     (parse_kernel, "// a\nkernel k() qubits 1 { X r0; }", (2, 25)),
     (parse_kernel, "kernel k() qubits 1 { X q0;", (1, 28)),
     (parse_kernel, "kernel k() qubits 1 { Ry( q0; }", (1, 29)),
+    (parse_pauli, "1e999 X0", 0),  # a coefficient that overflows a float
+    (parse_pauli, "(1,1e999) X0", 3),
+    (parse_fermion, "1e999 0^", 0),
 ]
 
 
@@ -46,6 +49,14 @@ def test_error_position(parse, text, position):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.position == position
+
+
+@pytest.mark.parametrize("parse, text", [(parse_pauli, "1e999 X0"),
+                                         (parse_pauli, "(1,1e999) X0"),
+                                         (parse_fermion, "1e999 0^")])
+def test_overflowing_coefficient_quotes_its_text(parse, text):
+    with pytest.raises(ParseError, match="number '1e999' overflows"):
+        parse(text)
 
 
 def test_expected_token_names_what_it_got():
@@ -77,3 +88,23 @@ class TestIndexBound:
         assert parse_pauli("Z" + "0" * 5000 + "3").terms[0].string == PauliString(z=1 << 3)
         assert parse_fermion(f"{MAX_INDEX}^ 007").terms[0].ops == (
             LadderOp(MAX_INDEX, True), LadderOp(7, False))
+
+
+class TestKernelIntegers:
+    """Kernel widths and operands are unbounded, but a literal longer than
+    any int() digit limit is a ParseError at its token."""
+
+    def test_wide_kernel_and_leading_zeros(self):
+        k = parse_kernel(f"kernel k() qubits {MAX_INDEX + 2} {{ X q{MAX_INDEX + 1}; }}")
+        assert k.num_qubits == MAX_INDEX + 2
+        k = parse_kernel("kernel k() qubits 0002 { X q" + "0" * 5000 + "1; }")
+        assert k.body[0].qubits == (1,)
+
+    @pytest.mark.parametrize("text, position", [
+        ("kernel k() qubits " + "1" * 5000 + " { }", (1, 19)),
+        ("kernel k() qubits 2 { X q" + "1" * 5000 + "; }", (1, 25)),
+    ], ids=["count", "operand"])
+    def test_too_many_digits(self, text, position):
+        with pytest.raises(ParseError, match="more than 640 digits") as err:
+            parse_kernel(text)
+        assert err.value.position == position

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcor_rt import (ExecutionConfig, GateKind, Instruction, Kernel,
                      PauliString, ReadoutNoiseModel,
@@ -358,3 +360,111 @@ class TestExecutionConfig:
     def test_accepts_bounds(self):
         assert ExecutionConfig(shots=2**63 - 1, seed=2**64).shots == 2**63 - 1
         assert ExecutionConfig(shots=np.int64(5), seed=np.uint32(7)).seed == 7
+
+
+# --- the in-place gate primitive against dense kron-built matrices ---------
+
+_R2 = 1 / math.sqrt(2)
+_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
+_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+_DENSE_1Q = {
+    GateKind.X: lambda t: np.array([[0, 1], [1, 0]], dtype=complex),
+    GateKind.Y: lambda t: np.array([[0, -1j], [1j, 0]]),
+    GateKind.Z: lambda t: np.diag([1, -1]).astype(complex),
+    GateKind.H: lambda t: np.array([[1, 1], [1, -1]], dtype=complex) * _R2,
+    GateKind.S: lambda t: np.diag([1, 1j]),
+    GateKind.Sdg: lambda t: np.diag([1, -1j]),
+    GateKind.T: lambda t: np.diag([1, (1 + 1j) * _R2]),
+    GateKind.Rx: lambda t: np.array([[math.cos(t / 2), -1j * math.sin(t / 2)],
+                                     [-1j * math.sin(t / 2), math.cos(t / 2)]]),
+    GateKind.Ry: lambda t: np.array([[math.cos(t / 2), -math.sin(t / 2)],
+                                     [math.sin(t / 2), math.cos(t / 2)]], dtype=complex),
+    GateKind.Rz: lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]),
+}
+_ROTATION_KINDS = (GateKind.Rx, GateKind.Ry, GateKind.Rz)
+_UNITARY_KINDS = sorted(set(_DENSE_1Q) | {GateKind.CNOT, GateKind.CZ}, key=lambda k: k.value)
+
+
+def _kron_on(n, factors):
+    """Dense 2^n matrix of {qubit: 2x2} factors, identity elsewhere, qubit 0 leftmost."""
+    out = np.ones((1, 1), dtype=complex)
+    for q in range(n):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def _dense_gate(n, kind, qubits, theta):
+    if kind is GateKind.CNOT:
+        c, t = qubits
+        return _kron_on(n, {c: _P0}) + _kron_on(n, {c: _P1, t: _DENSE_1Q[GateKind.X](None)})
+    if kind is GateKind.CZ:
+        c, t = qubits
+        return np.eye(2**n) - 2 * _kron_on(n, {c: _P1, t: _P1})
+    return _kron_on(n, {qubits[0]: _DENSE_1Q[kind](theta)})
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 8))
+    kinds = [k for k in _UNITARY_KINDS if n > 1 or k not in (GateKind.CNOT, GateKind.CZ)]
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in (GateKind.CNOT, GateKind.CZ):
+            qubits = tuple(draw(st.permutations(range(n)))[:2])
+        else:
+            qubits = (draw(st.integers(0, n - 1)),)
+        theta = (draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind in _ROTATION_KINDS
+                 else None)
+        gates.append((kind, qubits, theta))
+    return n, gates
+
+
+_EVERY_KIND = (5, [(GateKind.H, (0,), None), (GateKind.Rx, (1,), 0.3), (GateKind.Ry, (2,), -1.1),
+                   (GateKind.X, (3,), None), (GateKind.Y, (4,), None), (GateKind.CNOT, (0, 3), None),
+                   (GateKind.CNOT, (4, 1), None), (GateKind.CZ, (1, 4), None),
+                   (GateKind.CZ, (3, 0), None), (GateKind.Z, (2,), None), (GateKind.S, (0,), None),
+                   (GateKind.Sdg, (1,), None), (GateKind.T, (4,), None), (GateKind.Rz, (3,), 2.5),
+                   (GateKind.CNOT, (2, 3), None), (GateKind.CNOT, (3, 2), None)])
+
+
+class TestGatePrimitiveAgainstDenseOracle:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(circuit=_circuits())
+    @example(circuit=_EVERY_KIND)
+    def test_evolve_equals_product_of_kron_matrices(self, circuit):
+        n, gates = circuit
+        kernel = kernel_of(n, *(Instruction(kind, qubits, theta) for kind, qubits, theta in gates))
+        want = np.zeros(2**n, dtype=complex)
+        want[0] = 1.0
+        for kind, qubits, theta in gates:
+            want = _dense_gate(n, kind, qubits, theta) @ want
+        got = simulator._evolve(kernel)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(k=st.integers(1, 8), data=st.data())
+    def test_apply_per_qubit_equals_kron_and_copies(self, k, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shapes = data.draw(st.lists(st.sampled_from(["general", "diagonal", "identity",
+                                                     "hadamard"]), min_size=k, max_size=k))
+        matrices = []
+        for shape in shapes:
+            m = rng.uniform(-1, 1, size=(2, 2))
+            if shape == "diagonal":
+                m = np.diag(np.diag(m))
+            elif shape == "identity":
+                m = np.eye(2)
+            elif shape == "hadamard":
+                m = m[0, 0] * np.array([[1.0, 1.0], [1.0, -1.0]])
+            matrices.append(m)
+        vec = rng.uniform(-1, 1, size=2**k)
+        before = vec.copy()
+        dense = np.ones((1, 1))
+        for m in matrices:
+            dense = np.kron(dense, m)
+        got = simulator.apply_per_qubit(vec, matrices)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - dense @ vec)) <= 1e-12
+        assert np.array_equal(vec, before)
