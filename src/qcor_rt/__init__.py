@@ -6,7 +6,7 @@ from .errors import (KindMismatchError, MissingKeyError, OptimizationError,
 from .fermion import (FermionObservable, FermionTerm, LadderOp, fermion_to_dense,
                       jordan_wigner, normal_order, parse_fermion)
 from .kernel import (GateKind, Instruction, Kernel, identity_kernel, parse_kernel,
-                     parse_kernel_file, print_kernel)
+                     print_kernel)
 from .mitigation import (MitigatedObjective, calibrate, confusion_from_noise,
                          mitigate_counts)
 from .optimizers import FunctionObjective, NelderMead, Optimizer, make_optimizer

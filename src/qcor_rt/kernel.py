@@ -112,9 +112,6 @@ class Kernel:
     def measured_qubits(self) -> tuple:
         return tuple(sorted(i.qubits[0] for i in self.body if i.kind is GateKind.Measure))
 
-    def is_bound(self) -> bool:
-        return all(i.is_bound() for i in self.body)
-
     def bind(self, values: Sequence[float]) -> "Kernel":
         """Substitute literal angles for named parameters; result has no params."""
         if len(values) != len(self.params):
@@ -248,11 +245,6 @@ def parse_kernel(text: str) -> Kernel:
         return Kernel(name, tuple(params), num_qubits, tuple(body))
     except ValidationError as e:
         raise ParseError(str(e)) from e
-
-
-def parse_kernel_file(path: str) -> Kernel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kernel(fh.read())
 
 
 def identity_kernel(num_qubits: int, name: str = "identity") -> Kernel:

@@ -3,6 +3,7 @@ packaged as the readout-mitigation stage of the objective pipeline."""
 
 from __future__ import annotations
 
+import threading
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,11 @@ def validate_confusion_matrix(m: np.ndarray) -> np.ndarray:
     if abs(np.linalg.det(m)) < MIN_DETERMINANT:
         raise ValidationError("confusion matrix is singular")
     return m
+
+
+def _inverse_confusion(calibration: Mapping[int, np.ndarray]) -> dict:
+    """Each qubit's validated confusion matrix, inverted."""
+    return {q: np.linalg.inv(validate_confusion_matrix(m)) for q, m in calibration.items()}
 
 
 def confusion_from_noise(noise: ReadoutNoiseModel | None, qubits) -> dict:
@@ -115,8 +121,7 @@ def mitigate_counts(counts: Mapping[str, float], calibration: Mapping[int, np.nd
     measured = (sorted(measured_qubits) if measured_qubits is not None
                 else list(range(len(next(iter(counts))))))
     vec = _counts_vector(counts, measured)  # checks every bitstring's length
-    inverse = {q: np.linalg.inv(validate_confusion_matrix(calibration[q]))
-               for q in measured if q in calibration}
+    inverse = _inverse_confusion({q: calibration[q] for q in measured if q in calibration})
     return bitstring_map(_invert(vec, inverse, measured), len(measured))
 
 
@@ -126,9 +131,11 @@ class MitigatedObjective(DefaultObjective):
     Evaluates like the wrapped objective, but re-estimates every term from
     its counts (or exact distribution) corrected by the inverse confusion
     matrices, and publishes both the raw and the mitigated value.  Wrapping
-    a MitigatedObjective chains the corrections, innermost first.
-    Calibration is performed lazily on the first evaluation and cached;
-    pass `calibration` explicitly to skip the calibration runs.
+    a MitigatedObjective appends a stage to its flat list of stages, so the
+    corrections chain innermost first.  Without `calibration`, the stage
+    calibrates once, on the first evaluation, and every sink the objective
+    publishes to records the result as "readout-calibration"; pass
+    `calibration` explicitly to skip the calibration runs.
     """
 
     def __init__(self, inner: DefaultObjective,
@@ -136,40 +143,32 @@ class MitigatedObjective(DefaultObjective):
         if not isinstance(inner, DefaultObjective):
             raise ValidationError("MitigatedObjective wraps a DefaultObjective")
         super().__init__(inner.observable, inner.kernel, inner.config, inner.sink)
-        self.inner = inner
-        self._inverse = (  # inverse confusion matrix per calibrated qubit
-            {q: np.linalg.inv(validate_confusion_matrix(m)) for q, m in calibration.items()}
-            if calibration is not None else None
-        )
-        if self._inverse is None and self.config.exact:
+        # inverse confusion matrix per qubit, per stage; None until calibrated
+        stage = _inverse_confusion(calibration) if calibration is not None else None
+        self._stages = inner._stages + (stage,)
+        self._calibration = None  # what the self-calibrated stages measured
+        self._calibration_lock = threading.Lock()
+        if stage is None and self.config.exact:
             confusion_from_noise(self.config.noise, range(self.kernel.num_qubits))
-        elif self._inverse is None:
+        elif stage is None:
             _check_calibration_shots(self.config.shots)
 
-    def _ensure_calibration(self) -> dict:
-        """The inverse confusion matrices, calibrating on first use."""
-        if self._inverse is None:
-            calibration = calibrate(self.kernel.num_qubits, self.config)
-            if self.sink is not None and "readout-calibration" not in self.sink.metadata:
-                self.sink.metadata.put("readout-calibration", HeterogeneousMap({
-                    f"q{q}": [float(x) for x in m.reshape(-1)]
-                    for q, m in sorted(calibration.items())
-                }))
-            self._inverse = {q: np.linalg.inv(m) for q, m in calibration.items()}
-        return self._inverse
-
-    def _corrected(self, run) -> np.ndarray:
-        """Quasi-distribution vector of `run` after this stage and the ones it
-        wraps, from its outcome vector at the innermost stage."""
-        qubits = run.term.string.qubits
-        source = (self.inner._corrected(run) if isinstance(self.inner, MitigatedObjective)
-                  else run.outcomes)
-        return _invert(source, self._ensure_calibration(), qubits)
-
-    def _mitigate(self, runs: list) -> bool:
-        self._ensure_calibration()
+    def _mitigate(self, runs: list, sink) -> bool:
+        with self._calibration_lock:  # one calibration, however many threads
+            if None in self._stages:
+                self._calibration = calibrate(self.kernel.num_qubits, self.config)
+                inverse = _inverse_confusion(self._calibration)
+                self._stages = tuple(inverse if s is None else s for s in self._stages)
+        if (self._calibration is not None and sink is not None
+                and "readout-calibration" not in sink.metadata):
+            sink.metadata.put("readout-calibration", HeterogeneousMap({
+                f"q{q}": [float(x) for x in m.reshape(-1)]
+                for q, m in sorted(self._calibration.items())
+            }))
         for run in runs:
-            quasi = self._corrected(run)
+            quasi = run.outcomes
+            for inverse in self._stages:
+                quasi = _invert(quasi, inverse, run.term.string.qubits)
             run.metadata.put("raw-expectation", run.expectation)
             run.metadata.put("mitigated", True)
             run.expectation = expectation_from_vector(run.term, quasi)

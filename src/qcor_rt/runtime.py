@@ -7,6 +7,7 @@ task runs); nothing is shared in place with the caller.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
 import threading
@@ -23,6 +24,11 @@ from .pauli import PauliObservable, PauliString, PauliTerm, expectation_from_vec
 from .results import HeterogeneousMap, ResultBuffer
 from .simulator import (MAX_QUBITS, ExecutionConfig, bitstring_map, exact_distributions,
                         sample_counts)
+
+
+# The root ResultBuffer of the task running in this context: where an
+# objective without a sink of its own publishes its evaluations.
+_TASK_ROOT = contextvars.ContextVar("qcor_rt_task_root", default=None)
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -62,9 +68,12 @@ class DefaultObjective(ObjectiveFunction):
     """Expectation value of the observable at the given parameters.
 
     One evaluation binds, measures each non-identity term (exact or
-    sampled), runs the readout-mitigation stage, sums and publishes.  The
-    stage does nothing here; `MitigatedObjective` supplies it.
+    sampled), runs the readout-mitigation stages, sums and publishes to the
+    objective's sink, or else to the root of the task it runs in.  There are
+    no stages here; `MitigatedObjective` supplies them.
     """
+
+    _stages: tuple = ()  # readout-mitigation stages, innermost first
 
     def __init__(self, observable, kernel, config=None, sink=None):
         observable.check_kernel(kernel)  # fail before any task starts
@@ -82,15 +91,13 @@ class DefaultObjective(ObjectiveFunction):
 
     def _measure(self, bound: Kernel) -> tuple:
         """(TermRun per non-identity term, identity offset), every term measured
-        from one evolution: exact mode publishes its outcome vector, sampled mode
-        draws shots from the noiseless one with the next per-execution seed."""
+        from one evolution: exact mode publishes its outcome vector after readout
+        noise, sampled mode draws shots from it with the next per-execution seed."""
         terms, offset = self.observable.split_identity()
-        exact = self.config.exact
-        dists = exact_distributions(bound, [t.string for t in terms],
-                                    self.config.noise if exact else None)
+        dists = exact_distributions(bound, [t.string for t in terms], self.config.noise)
         runs = []
         for term, dist in zip(terms, dists):
-            if exact:
+            if self.config.exact:
                 runs.append(self._run(term, HeterogeneousMap({"mode": "exact"}), dist))
                 continue
             with self._exec_lock:  # one index per execution, across threads
@@ -101,20 +108,22 @@ class DefaultObjective(ObjectiveFunction):
             runs.append(self._run(term, metadata, counts))
         return runs, offset
 
-    def _mitigate(self, runs: list) -> bool:
-        """Readout-mitigation stage: re-estimate `runs` in place and return
-        True, or leave them as measured and return False."""
+    def _mitigate(self, runs: list, sink: ResultBuffer | None) -> bool:
+        """Readout-mitigation stages: re-estimate `runs` in place and return
+        True, or leave them as measured and return False.  `sink` is where
+        this evaluation publishes."""
         return False
 
     def __call__(self, params: Sequence[float]) -> float:
         bound = self.kernel.bind(params)
         runs, offset = self._measure(bound)
         value = offset.real + sum(r.expectation for r in runs)
+        sink = self.sink if self.sink is not None else _TASK_ROOT.get()
         extra = None
-        if self._mitigate(runs):
+        if self._mitigate(runs, sink):
             raw, value = value, offset.real + sum(r.expectation for r in runs)
             extra = {"raw-value": float(raw), "mitigated-value": float(value)}
-        publish_evaluation(self.sink, params, value, runs, extra)
+        publish_evaluation(sink, params, value, runs, extra)
         return value
 
 
@@ -230,7 +239,10 @@ def _resolve(spec: TaskSpec):
     return objective, spec.optimizer, params
 
 
-def _run_task(objective, optimizer, params, root: ResultBuffer) -> ResultBuffer:
+def _run_task(objective, optimizer, params) -> ResultBuffer:
+    """Run one task in a context of its own (see task_initiate)."""
+    root = ResultBuffer()
+    _TASK_ROOT.set(root)
     if optimizer is not None:
         opt_params, opt_value = optimizer.optimize(objective)
         root.metadata.put("opt-value", float(opt_value))
@@ -246,10 +258,9 @@ def _run_task(objective, optimizer, params, root: ResultBuffer) -> ResultBuffer:
 def task_initiate(spec: TaskSpec) -> TaskHandle:
     """Launch a task; returns immediately with a handle for sync()."""
     objective, optimizer, params = _resolve(spec)
-    root = ResultBuffer()
-    if getattr(objective, "sink", None) is None:
-        objective.sink = root
-    future = _executor().submit(_run_task, objective, optimizer, params, root)
+    # a copy of the caller's context per task, so the task's root is its own
+    future = _executor().submit(contextvars.copy_context().run, _run_task,
+                                objective, optimizer, params)
     return TaskHandle(future)
 
 

@@ -3,9 +3,10 @@
 Conventions: qubit 0 is the most significant bit of a state index and the
 leftmost character of result bitstrings; bitstrings contain only measured
 qubits, in ascending qubit order.  Sampling computes the exact marginal
-distribution over measured qubits and draws a multinomial, which is
-statistically identical to per-shot collapse because measurement is
-terminal.
+distribution over measured qubits, applies the readout noise model to it as
+per-qubit confusion matrices, and draws a multinomial: statistically
+identical to per-shot collapse followed by independent per-shot bit flips,
+because measurement is terminal.
 """
 
 from __future__ import annotations
@@ -129,9 +130,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(amps, num_qubits)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 def _apply_1q(vec: np.ndarray, q: int, m) -> None:
     """Apply the 2x2 matrix m to bit q (0 = most significant) of every index
@@ -234,6 +232,8 @@ def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
 
 
 def _distribution(amps: np.ndarray, n: int, measured: tuple, noise) -> np.ndarray:
+    """Outcome vector over `measured` after readout noise: the one place
+    where the noise model acts, for exact results and for sampling alike."""
     vec = _marginal(amps, n, measured)
     if noise is not None:
         vec = apply_per_qubit(vec, [noise.confusion_matrix(q) for q in measured])
@@ -279,20 +279,17 @@ def execute(kernel: Kernel, config: ExecutionConfig):
     """Run a bound, measured kernel; returns (counts, metadata)."""
     start = time.perf_counter()
     measured = kernel.measured_qubits()
-    vec = _marginal(_evolve(kernel), kernel.num_qubits, measured)
+    vec = _distribution(_evolve(kernel), kernel.num_qubits, measured, config.noise)
     counts, metadata = sample_counts(vec, measured, config, start)
     return bitstring_map(counts, len(measured)), metadata
 
 
 def sample_counts(vec: np.ndarray, measured: tuple, config: ExecutionConfig, start: float):
-    """(counts, metadata) of `config.shots` seeded draws from the noiseless
-    outcome vector `vec` over `measured`, with readout flips under the config's
-    noise model: counts is an int64 vector indexed like `vec`, and
-    "wall-time-ms" counts from `start`, a perf_counter reading."""
-    rng = np.random.default_rng(config.seed)
-    counts = rng.multinomial(config.shots, vec)
-    if config.noise is not None:
-        counts = _readout_flips(counts, measured, config.noise, rng)
+    """(counts, metadata) of `config.shots` seeded draws from the outcome
+    vector `vec` over `measured`, readout noise already applied: counts is an
+    int64 vector indexed like `vec`, and "wall-time-ms" counts from `start`,
+    a perf_counter reading."""
+    counts = np.random.default_rng(config.seed).multinomial(config.shots, vec)
     metadata = HeterogeneousMap({
         "shots": config.shots,
         "seed": config.seed,
@@ -301,25 +298,6 @@ def sample_counts(vec: np.ndarray, measured: tuple, config: ExecutionConfig, sta
         "wall-time-ms": (time.perf_counter() - start) * 1e3,
     })
     return counts, metadata
-
-
-def _readout_flips(counts_vec: np.ndarray, measured, noise: ReadoutNoiseModel,
-                   rng: np.random.Generator) -> np.ndarray:
-    k = len(measured)
-    counts = counts_vec.astype(np.int64)
-    for pos, q in enumerate(measured):
-        p01, p10 = noise.probs(q)
-        if p01 == 0.0 and p10 == 0.0:
-            continue
-        bit = 1 << (k - 1 - pos)
-        # numpy draws nothing where p is 0: the stream of a per-outcome loop
-        nz = np.flatnonzero(counts)
-        flipped = rng.binomial(counts[nz], np.where(nz & bit, p10, p01))
-        new = np.zeros_like(counts)
-        new[nz] = counts[nz] - flipped
-        new[nz ^ bit] += flipped  # nz ^ bit is repeat-free, so no np.add.at
-        counts = new
-    return counts
 
 
 def exact_expectation(kernel: Kernel, obs: PauliObservable) -> float:

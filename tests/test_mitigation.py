@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -257,3 +259,39 @@ class TestMitigatedObjectiveValidation:
         noise = ReadoutNoiseModel(p01=0.5, p10=0.5)
         with pytest.raises(ValidationError):
             MitigatedObjective(self._inner(ExecutionConfig(exact=True, noise=noise)))
+
+
+class TestSharedCalibration:
+    def test_concurrent_evaluations_calibrate_once(self, monkeypatch):
+        """A self-calibrating objective evaluated from several threads at
+        once runs its calibration exactly once."""
+        from qcor_rt import mitigation
+
+        noise = ReadoutNoiseModel(p01=0.02, p10=0.05)
+        calls = []
+
+        def slow_calibrate(num_qubits, config):
+            calls.append(num_qubits)
+            time.sleep(0.2)
+            return confusion_from_noise(noise, range(num_qubits))
+
+        monkeypatch.setattr(mitigation, "calibrate", slow_calibrate)
+        kernel = parse_kernel("kernel prep() qubits 2 { H q0; CNOT q0 q1; }")
+        obj = MitigatedObjective(DefaultObjective(
+            parse_pauli("Z0 Z1 + X0"), kernel, ExecutionConfig(shots=500, noise=noise)))
+        errors = []
+
+        def worker():
+            try:
+                obj([])
+            except Exception as e:  # reported below; a thread cannot raise into pytest
+                errors.append(e)
+
+        pool = [threading.Thread(target=worker) for _ in range(4)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in pool)
+        assert errors == []
+        assert calls == [2]

@@ -461,6 +461,58 @@ class TestSharedObjectiveThreads:
         assert obj._exec_count == len(seeds)
 
 
+class TestSharedObjectiveTasks:
+    """One objective without a sink, shared by several tasks: each task's
+    root holds exactly the evaluations that task made."""
+
+    @staticmethod
+    def _objective(mitigate):
+        kernel = parse_kernel("kernel k(t) qubits 2 { Ry(t) q0; CNOT q0 q1; }")
+        noise = ReadoutNoiseModel(p01=0.03, p10=0.06)
+        obj = DefaultObjective(parse_pauli("Z0 + X0 X1"), kernel,
+                               ExecutionConfig(exact=True, noise=noise))
+        return MitigatedObjective(obj) if mitigate else obj
+
+    @staticmethod
+    def _own_params(root):
+        return [c.metadata.get("params", list) for c in root.children]
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_sequential_tasks(self, mitigate):
+        obj = self._objective(mitigate)
+        points = [0.1, 0.2, 0.3]
+        roots = [sync(task_initiate(TaskSpec(objective=obj, params=[p]))) for p in points]
+        for root, p in zip(roots, points):
+            assert self._own_params(root) == [[p]]
+            assert root.metadata.get("num-evaluations", int) == 1
+            assert ("readout-calibration" in root.metadata) == mitigate
+        assert obj.sink is None
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_concurrent_tasks(self, mitigate):
+        import sys
+
+        obj = self._objective(mitigate)
+        starts = [0.1 * i for i in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            handles = [task_initiate(TaskSpec(
+                objective=obj, params=[x], optimizer=None if i % 2 else NelderMead(
+                    {"max-iterations": 8, "initial-point": [x]})))
+                for i, x in enumerate(starts)]
+            roots = [sync(h) for h in handles]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, (root, x) in enumerate(zip(roots, starts)):
+            own = self._own_params(root)
+            assert own[0] == [x]
+            assert len(own) == root.metadata.get("num-evaluations", int)
+            assert len(own) == (1 if i % 2 else 8)
+            assert ("readout-calibration" in root.metadata) == mitigate
+        assert obj.sink is None
+
+
 class TestSynchronousValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a"])
     def test_non_finite_params_rejected_at_initiate(self, ansatz_1p, bad):

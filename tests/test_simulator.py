@@ -305,7 +305,8 @@ class TestNoiseModel:
 
 
 def _loop_readout_flips(counts_vec, measured, noise, rng):
-    """Per-outcome reference for simulator._readout_flips."""
+    """Per-shot reference model of readout noise: every shot's bit on each
+    measured qubit flips independently, drawn outcome by outcome."""
     k = len(measured)
     counts = counts_vec.astype(np.int64)
     for pos, q in enumerate(measured):
@@ -324,26 +325,61 @@ def _loop_readout_flips(counts_vec, measured, noise, rng):
     return counts
 
 
-class TestReadoutFlips:
-    def test_equals_per_outcome_loop_and_its_stream(self):
+def _random_noisy_case(rng):
+    """A random bound kernel of <= 6 qubits measuring a random subset, and a
+    noise model with random per-qubit overrides."""
+    probs = (0.0, 0.5, 0.02, 0.3)
+    n = int(rng.integers(1, 7))
+    kernel = random_bound_kernel(rng, num_qubits=n, depth=3 * n)
+    measured = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+    kernel = Kernel(kernel.name, (), n, kernel.body + tuple(
+        Instruction(GateKind.Measure, (q,)) for q in measured))
+    overrides = {q: (probs[rng.integers(4)], probs[rng.integers(4)])
+                 for q in measured if rng.random() < 0.4}
+    noise = ReadoutNoiseModel(p01=probs[rng.integers(4)], p10=probs[rng.integers(4)],
+                              per_qubit=overrides or None)
+    return kernel, noise
+
+
+def _dense(dist, k):
+    vec = np.zeros(2**k)
+    for bits, p in dist.items():
+        vec[int(bits, 2)] = p
+    return vec
+
+
+class TestNoisySampling:
+    """Readout noise acts once, on the outcome vector: sampled counts are a
+    multinomial draw from the distribution exact mode publishes."""
+
+    def test_counts_are_a_draw_from_the_noisy_distribution(self):
         rng = np.random.default_rng(211)
-        probs = (0.0, 0.5, 0.02, 0.3)
-        for case in range(200):
-            k = int(rng.integers(1, 11))
-            measured = tuple(sorted(rng.choice(12, size=k, replace=False).tolist()))
-            overrides = {int(q): (probs[rng.integers(4)], probs[rng.integers(4)])
-                         for q in measured if rng.random() < 0.4}
-            noise = ReadoutNoiseModel(p01=probs[rng.integers(4)], p10=probs[rng.integers(4)],
-                                      per_qubit=overrides or None)
-            weights = rng.random(2**k) * (rng.random(2**k) < 0.5)
-            if not weights.any():
-                weights[0] = 1.0
-            counts = rng.multinomial(int(rng.integers(1, 3000)), weights / weights.sum())
-            got_rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
-            got = simulator._readout_flips(counts, measured, noise, got_rng)
-            want = _loop_readout_flips(counts, measured, noise, want_rng)
-            assert got.dtype == want.dtype and np.array_equal(got, want), case
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+        for case in range(100):
+            kernel, noise = _random_noisy_case(rng)
+            k = len(kernel.measured_qubits())
+            shots, seed = int(rng.integers(1, 3000)), int(rng.integers(2**32))
+            counts, _ = execute(kernel, ExecutionConfig(shots=shots, seed=seed, noise=noise))
+            v = _dense(exact_distribution(kernel, noise), k)
+            want = np.random.default_rng(seed).multinomial(shots, v)
+            assert counts == indexed_outcomes(want.tolist(), k), case
+
+    def test_pooled_counts_match_per_shot_flips(self):
+        rng = np.random.default_rng(223)
+        shots, seeds = 400, 200
+        for case in range(4):
+            kernel, noise = _random_noisy_case(rng)
+            k = len(kernel.measured_qubits())
+            clean = _dense(exact_distribution(kernel), k)
+            got, want = np.zeros(2**k), np.zeros(2**k)
+            for seed in range(seeds):
+                counts, _ = execute(kernel, ExecutionConfig(shots=shots, seed=seed, noise=noise))
+                got += _dense(counts, k)
+                loop_rng = np.random.default_rng(10_000 + seed)
+                want += _loop_readout_flips(loop_rng.multinomial(shots, clean),
+                                            kernel.measured_qubits(), noise, loop_rng)
+            p = _dense(exact_distribution(kernel, noise), k)
+            sigma = np.sqrt(2 * shots * seeds * p * (1 - p))
+            assert (np.abs(got - want) <= 5 * sigma).all(), case
 
 
 class TestExecutionConfig:
