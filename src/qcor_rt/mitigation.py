@@ -4,17 +4,17 @@ packaged as the readout-mitigation stage of the objective pipeline."""
 from __future__ import annotations
 
 import threading
+import time
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import GateKind, Instruction, Kernel
 from .pauli import expectation_from_vector
 from .results import HeterogeneousMap
 from .runtime import DefaultObjective, derive_seed
-from .simulator import (ExecutionConfig, ReadoutNoiseModel, apply_per_qubit, bitstring_map,
-                        execute)
+from .simulator import (MAX_QUBITS, ExecutionConfig, ReadoutNoiseModel, apply_per_qubit,
+                        bitstring_map, sample_counts)
 
 MIN_CALIBRATION_SHOTS = 100
 MIN_DETERMINANT = 1e-6
@@ -60,25 +60,25 @@ def _check_calibration_shots(shots: int) -> None:
 
 def calibrate(num_qubits: int, config: ExecutionConfig) -> dict:
     """Each qubit's confusion matrix: analytic from the noise model in exact
-    mode, otherwise estimated from |0> and |1> preparation runs."""
+    mode, otherwise estimated from |0> and |1> preparation runs.  A run that
+    prepares |b> on qubit q and measures it has the marginal e_b on q, so
+    each run is one seeded draw from e_b after q's readout noise."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValidationError(f"calibration needs 1 to {MAX_QUBITS} qubits, got {num_qubits}")
     if config.exact:
         return confusion_from_noise(config.noise, range(num_qubits))
     _check_calibration_shots(config.shots)
     matrices = {}
     for q in range(num_qubits):
         columns = []
-        for prepare_one in (False, True):
-            body = []
-            if prepare_one:
-                body.append(Instruction(GateKind.X, (q,)))
-            body.append(Instruction(GateKind.Measure, (q,)))
-            kernel = Kernel(f"calibrate_q{q}_{int(prepare_one)}", (), num_qubits,
-                            tuple(body))
-            seed = derive_seed(config.seed,
-                               _CALIBRATION_SEED_OFFSET + 2 * q + int(prepare_one))
-            counts, _ = execute(kernel, config.with_seed(seed))
-            total = sum(counts.values())
-            columns.append([counts.get("0", 0) / total, counts.get("1", 0) / total])
+        for b in (0, 1):
+            vec = np.eye(2)[b]
+            if config.noise is not None:
+                vec = apply_per_qubit(vec, [config.noise.confusion_matrix(q)])
+            seed = derive_seed(config.seed, _CALIBRATION_SEED_OFFSET + 2 * q + b)
+            counts, _ = sample_counts(vec, (q,), config.with_seed(seed), time.perf_counter())
+            n0, n1 = counts.tolist()
+            columns.append([n0 / (n0 + n1), n1 / (n0 + n1)])
         matrices[q] = validate_confusion_matrix(np.array(columns).T)
     return matrices
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 from enum import Enum
 from typing import Iterable, Mapping
@@ -18,6 +19,7 @@ class Kind(Enum):
     BOOL = "bool"
     STRING = "string"
     REAL_LIST = "real-list"
+    REAL_ARRAY = "real-array"
     STRING_LIST = "string-list"
     MAP = "map"
 
@@ -29,6 +31,7 @@ _PY_KINDS = {
     bool: Kind.BOOL,
     str: Kind.STRING,
     list: Kind.REAL_LIST,
+    np.ndarray: Kind.REAL_ARRAY,
 }
 
 
@@ -47,7 +50,9 @@ def _kind_of(value) -> tuple:
     if isinstance(value, HeterogeneousMap):
         return Kind.MAP, value
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "fiu":
-        return Kind.REAL_LIST, value.astype(float, copy=False).tolist()
+        array = value.astype(np.float64)  # a copy: later writes to `value` do not leak in
+        array.flags.writeable = False
+        return Kind.REAL_ARRAY, array
     if isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
         if all(isinstance(v, str) for v in items) and items:
@@ -104,7 +109,9 @@ class HeterogeneousMap:
             self._data[k] = other._data[k]
 
     def to_dict(self, exclude: Iterable[str] = ()) -> dict:
-        """JSON-ready dict; complex values encode as [re, im]."""
+        """JSON-ready dict; complex values encode as [re, im], and real arrays
+        as the base64 text of their little-endian float64 bytes, which
+        `np.frombuffer(base64.b64decode(text), "<f8")` decodes bit-exactly."""
         out = {}
         for key, (kind, value) in self._data.items():
             if key in exclude:
@@ -113,6 +120,8 @@ class HeterogeneousMap:
                 out[key] = [value.real, value.imag]
             elif kind is Kind.MAP:
                 out[key] = value.to_dict(exclude=exclude)
+            elif kind is Kind.REAL_ARRAY:
+                out[key] = base64.b64encode(value.astype("<f8", copy=False).tobytes()).decode()
             else:
                 out[key] = value
         return out

@@ -131,7 +131,7 @@ def publish_evaluation(sink: ResultBuffer | None, params, value, runs,
                        extra: dict | None = None) -> None:
     """Append one evaluation node (with per-kernel grandchildren) to the sink:
     integer outcomes are shot counts, keyed by bitstring; exact probabilities
-    are not, and go to "distribution", a REAL_LIST in outcome-index order."""
+    are not, and go to "distribution", a REAL_ARRAY in outcome-index order."""
     if sink is None:
         return
     child = ResultBuffer(HeterogeneousMap({

@@ -205,12 +205,13 @@ def _evolve(kernel: Kernel) -> np.ndarray:
     return amps
 
 
-def _marginal(amps: np.ndarray, n: int, measured: tuple) -> np.ndarray:
+def _marginal(amps: np.ndarray, n: int, measured: tuple, probs=None) -> np.ndarray:
     """Probability vector over the measured qubits (ascending) of an n-qubit
-    state; a state whose norm has drifted past NORM_TOL is rejected."""
+    state, reduced from `probs`, its |amps|^2 when the caller has them; a
+    state whose norm has drifted past NORM_TOL is rejected."""
     if not measured:
         raise ValidationError("no qubits are measured")
-    probs = (np.abs(amps) ** 2).reshape([2] * n)
+    probs = (np.abs(amps) ** 2 if probs is None else probs).reshape([2] * n)
     drop = tuple(q for q in range(n) if q not in measured)
     if drop:
         probs = probs.sum(axis=drop)
@@ -231,10 +232,11 @@ def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
     return out
 
 
-def _distribution(amps: np.ndarray, n: int, measured: tuple, noise) -> np.ndarray:
+def _distribution(amps: np.ndarray, n: int, measured: tuple, noise,
+                  probs=None) -> np.ndarray:
     """Outcome vector over `measured` after readout noise: the one place
     where the noise model acts, for exact results and for sampling alike."""
-    vec = _marginal(amps, n, measured)
+    vec = _marginal(amps, n, measured, probs)
     if noise is not None:
         vec = apply_per_qubit(vec, [noise.confusion_matrix(q) for q in measured])
     return vec
@@ -261,17 +263,21 @@ def exact_distributions(kernel: Kernel, strings, noise: ReadoutNoiseModel | None
         raise ValidationError("exact_distributions requires an unmeasured kernel")
     n = kernel.num_qubits
     state = _evolve(kernel)
+    state_probs = None  # |state|^2, computed once for every string without X or Y
     out = []
     for string in strings:
         if string.qubits and string.qubits[-1] >= n:
             raise ValidationError(f"qubit {string.qubits[-1]} outside the {n}-qubit kernel")
-        amps = state
         if string.x:  # an X or Y factor: rotate a copy onto the Z basis
             amps = state.copy()
             for q, kind in string.ops:
                 for mat in _BASIS_MATRICES[kind]:
                     _apply_1q(amps, q, mat)
-        out.append(_distribution(amps, n, string.qubits, noise))
+            out.append(_distribution(amps, n, string.qubits, noise))
+            continue
+        if state_probs is None:
+            state_probs = np.abs(state) ** 2
+        out.append(_distribution(state, n, string.qubits, noise, state_probs))
     return out
 
 

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,12 @@ def random_hermitian_observable(rng, max_qubits=3, max_terms=4):
     from qcor_rt import PauliObservable
     # real coefficients on Pauli strings give a Hermitian operator
     return PauliObservable([(t.coefficient.real, t.string) for t in obs.terms])
+
+
+def decode_real_array(text):
+    """The float64 vector a REAL_ARRAY serializes to: base64 of its
+    little-endian float64 bytes."""
+    return np.frombuffer(base64.b64decode(text), "<f8")
 
 
 def indexed_outcomes(vec, k):

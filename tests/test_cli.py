@@ -8,7 +8,7 @@ import pytest
 
 import qcor_rt
 
-from conftest import ANSATZ_1P, ANSATZ_2P, BELL
+from conftest import ANSATZ_1P, ANSATZ_2P, BELL, decode_real_array
 
 
 # the source tree of the imported package, so the CLI subprocess runs the
@@ -76,6 +76,36 @@ class TestVqe:
         assert proc.returncode == 0
         assert proc.stdout == ""
         assert "opt-value" in json.loads(out.read_text())["metadata"]
+
+
+class TestExactDistributionJson:
+    """Exact grandchildren publish `distribution` as base64 of little-endian
+    float64, and seeded exact output stays byte-reproducible."""
+
+    @staticmethod
+    def _check_distributions(payload):
+        grandchildren = [g for c in payload["children"] for g in c["children"]]
+        assert grandchildren
+        for g in grandchildren:
+            md = g["metadata"]
+            assert isinstance(md["distribution"], str)
+            vec = decode_real_array(md["distribution"])
+            k = len(qcor_rt.parse_pauli(md["term"]).terms[0].string.qubits)
+            assert vec.shape == (2**k,)
+            assert abs(vec.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("extra", [
+        ("vqe", "--observable", "X0 X1 + Z0 Z1 + 0.5 Y1", "--exact",
+         "--initial-point", "0.5", "0.5", "--opt-maxeval", "40"),
+        ("evaluate", "--observable", "X0 X1 + Z0 Z1 + 0.5 Y1 + Z1", "--params", "0.3", "0.2",
+         "--exact", "--noise-p10", "0.1", "--mitigate"),
+    ], ids=["vqe", "evaluate-mitigated"])
+    def test_seeded_output_is_byte_identical_and_decodes(self, entangler_file, extra):
+        argv = (extra[0], "--kernel", entangler_file, *extra[1:], "--seed", "4")
+        a, b = run_cli(*argv), run_cli(*argv)
+        assert a.returncode == b.returncode == 0, a.stderr
+        assert a.stdout == b.stdout
+        self._check_distributions(json.loads(a.stdout))
 
 
 class TestEvaluate:

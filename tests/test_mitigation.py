@@ -5,12 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from qcor_rt import (DefaultObjective, ExecutionConfig, MitigatedObjective,
-                     PauliObservable, ReadoutNoiseModel, ResultBuffer, ValidationError,
-                     calibrate, confusion_from_noise, exact_distribution,
-                     exact_expectation, expectation_from_counts, mitigate_counts,
-                     parse_kernel, parse_pauli)
-from qcor_rt.mitigation import validate_confusion_matrix
+from qcor_rt import (DefaultObjective, ExecutionConfig, GateKind, Instruction, Kernel,
+                     MitigatedObjective, PauliObservable, ReadoutNoiseModel, ResultBuffer,
+                     ValidationError, calibrate, confusion_from_noise, derive_seed,
+                     exact_distribution, exact_expectation, execute, expectation_from_counts,
+                     mitigate_counts, parse_kernel, parse_pauli)
+from qcor_rt.mitigation import _CALIBRATION_SEED_OFFSET, validate_confusion_matrix
+from qcor_rt.simulator import MAX_QUBITS
 
 from conftest import random_bound_kernel, random_hermitian_observable
 
@@ -58,6 +59,44 @@ class TestCalibrate:
         a = calibrate(1, cfg)
         b = calibrate(1, cfg)
         assert np.array_equal(a[0], b[0])
+
+    @staticmethod
+    def _calibrate_by_execute(num_qubits, config):
+        """Oracle: each column from a full num_qubits-qubit kernel that
+        prepares |b> on qubit q and measures q, run through `execute` with
+        the seed `calibrate` derives for it."""
+        matrices = {}
+        for q in range(num_qubits):
+            columns = []
+            for b in (0, 1):
+                body = [Instruction(GateKind.X, (q,))] if b else []
+                body.append(Instruction(GateKind.Measure, (q,)))
+                kernel = Kernel(f"calibrate_q{q}_{b}", (), num_qubits, tuple(body))
+                seed = derive_seed(config.seed, _CALIBRATION_SEED_OFFSET + 2 * q + b)
+                counts, _ = execute(kernel, config.with_seed(seed))
+                total = sum(counts.values())
+                columns.append([counts.get("0", 0) / total, counts.get("1", 0) / total])
+            matrices[q] = np.array(columns).T
+        return matrices
+
+    @pytest.mark.parametrize("num_qubits", [1, 4, 10])
+    def test_equals_full_register_preparation_runs(self, num_qubits):
+        noises = [None, ReadoutNoiseModel(p01=0.03, p10=0.08),
+                  ReadoutNoiseModel(p01=0.02, p10=0.05,
+                                    per_qubit={0: (0.1, 0.2), 3: (0.0, 0.3)})]
+        for i, noise in enumerate(noises):
+            cfg = ExecutionConfig(shots=2048, seed=31 + i, noise=noise)
+            got = calibrate(num_qubits, cfg)
+            want = self._calibrate_by_execute(num_qubits, cfg)
+            assert got.keys() == want.keys()
+            for q in want:
+                assert np.array_equal(got[q], want[q]), (num_qubits, i, q)
+
+    @pytest.mark.parametrize("num_qubits", [0, -1, MAX_QUBITS + 1])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_qubit_count_outside_the_simulator_rejected(self, num_qubits, exact):
+        with pytest.raises(ValidationError):
+            calibrate(num_qubits, ExecutionConfig(exact=exact))
 
 
 class TestConfusionFromNoise:

@@ -1,3 +1,4 @@
+import json
 import math
 import threading
 import time
@@ -12,12 +13,12 @@ from qcor_rt import (DefaultObjective, ExecutionConfig, FunctionObjective,
                      exact_expectation, make_optimizer, parse_kernel,
                      parse_pauli, sync, task_initiate)
 from qcor_rt import (MitigatedObjective, PauliObservable, ReadoutNoiseModel,
-                     confusion_from_noise, exact_distribution, execute, identity_kernel,
-                     simulator)
+                     confusion_from_noise, exact_distribution, exact_distributions, execute,
+                     identity_kernel, simulator)
 from qcor_rt.results import VOLATILE_KEYS
 from qcor_rt.runtime import computational_basis_observable
 
-from conftest import (BELL, indexed_outcomes, random_bound_kernel,
+from conftest import (BELL, decode_real_array, indexed_outcomes, random_bound_kernel,
                       random_hermitian_observable)
 
 
@@ -42,16 +43,37 @@ class TestHeterogeneousMap:
             m.get("flag", int)
 
     def test_real_list(self):
-        m = HeterogeneousMap({"params": [0.1, 0.2]})
+        m = HeterogeneousMap({"params": [0.1, 0.2], "point": (1, 0.5)})
         assert m.get("params", Kind.REAL_LIST) == [0.1, 0.2]
+        assert m.get("point", list) == [1.0, 0.5]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint8])
-    def test_real_arrays_store_as_python_floats(self, dtype):
+    def test_real_arrays_store_as_read_only_float64(self, dtype):
         arr = np.array([0.5, 1.0, 0.0, 3.0]).astype(dtype)
-        stored = HeterogeneousMap({"d": arr}).get("d", Kind.REAL_LIST)
-        assert stored == [float(v) for v in arr]
-        assert all(type(v) is float for v in stored)
-        assert HeterogeneousMap({"d": np.zeros(0)}).get("d", Kind.REAL_LIST) == []
+        m = HeterogeneousMap({"d": arr})
+        stored = m.get("d", Kind.REAL_ARRAY)
+        assert m.kind_of("d") is Kind.REAL_ARRAY and m.get("d", np.ndarray) is stored
+        assert stored.dtype == np.float64 and stored.shape == (4,)
+        assert stored.tolist() == [float(v) for v in arr]
+        with pytest.raises(ValueError):
+            stored[0] = 2.0
+        empty = HeterogeneousMap({"d": np.zeros(0, dtype=dtype)}).get("d", Kind.REAL_ARRAY)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
+    def test_stored_array_is_a_copy(self):
+        arr = np.array([0.25, 0.75])
+        m = HeterogeneousMap()
+        m.put("d", arr)
+        arr[0] = 9.0
+        assert arr.flags.writeable
+        assert m.get("d", Kind.REAL_ARRAY).tolist() == [0.25, 0.75]
+
+    def test_real_array_encodes_as_base64_of_little_endian_float64(self):
+        arr = np.array([0.1, -0.0, 1e-300, np.pi, 3.0])
+        text = HeterogeneousMap({"d": arr}).to_dict()["d"]
+        assert isinstance(text, str) and text.isascii()
+        decoded = decode_real_array(json.loads(json.dumps(text)))
+        assert decoded.tobytes() == arr.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("bad", [np.array([1 + 1j, 2.0]), np.array([True, False]),
                                      np.ones((2, 2))])
@@ -332,8 +354,26 @@ class TestExactEvaluation:
             assert [r.metadata.get("term", str) for r in runs] == [str(t.string) for t in terms]
             for term, run in zip(terms, runs):
                 want = exact_distribution(kernel.with_measurement_basis(term.string), noise)
-                got = run.metadata.get("distribution", Kind.REAL_LIST)
+                got = run.metadata.get("distribution", Kind.REAL_ARRAY)
                 assert indexed_outcomes(got, len(term.string.qubits)) == want
+
+    @pytest.mark.parametrize("mitigated", [False, True])
+    def test_distributions_round_trip_through_json(self, mitigated):
+        rng = np.random.default_rng(103)
+        for trial in range(16):
+            n = int(rng.integers(1, 9))
+            kernel = random_bound_kernel(rng, num_qubits=n, depth=3 * n)
+            obs = self._observable(rng, n)
+            noise = self.NOISE if trial % 2 else None
+            sink = ResultBuffer()
+            objective = DefaultObjective(obs, kernel, ExecutionConfig(exact=True, noise=noise), sink)
+            (MitigatedObjective(objective) if mitigated else objective)(())
+            terms, _ = obs.split_identity()
+            want = exact_distributions(kernel, [t.string for t in terms], noise)
+            runs = json.loads(sink.to_json())["children"][0]["children"]
+            assert ([decode_real_array(r["metadata"]["distribution"]).tobytes() for r in runs]
+                    == [w.astype("<f8").tobytes() for w in want])
+            assert all(r["metadata"].get("mitigated", False) is mitigated for r in runs)
 
     def test_noise_free_value_matches_dense_oracle(self):
         rng = np.random.default_rng(101)
