@@ -3,6 +3,7 @@ packaged as the readout-mitigation stage of the objective pipeline."""
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import Mapping, Sequence
@@ -10,7 +11,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import expectation_from_vector
 from .results import HeterogeneousMap
 from .runtime import DefaultObjective, derive_seed
 from .simulator import (MAX_QUBITS, ExecutionConfig, ReadoutNoiseModel, apply_per_qubit,
@@ -22,6 +22,11 @@ MIN_DETERMINANT = 1e-6
 # Offset added to the task seed when deriving calibration-run seeds, so
 # calibration draws are decoupled from objective-evaluation draws.
 _CALIBRATION_SEED_OFFSET = 0x5EED
+
+# The parity weights of terms on up to this many qubits are cached, at most
+# _WEIGHT_CACHE_SIZE of them: 32 MiB at most.
+_CACHED_WEIGHT_QUBITS = 12
+_WEIGHT_CACHE_SIZE = 1024
 
 
 def validate_confusion_matrix(m: np.ndarray) -> np.ndarray:
@@ -76,7 +81,7 @@ def calibrate(num_qubits: int, config: ExecutionConfig) -> dict:
             if config.noise is not None:
                 vec = apply_per_qubit(vec, [config.noise.confusion_matrix(q)])
             seed = derive_seed(config.seed, _CALIBRATION_SEED_OFFSET + 2 * q + b)
-            counts, _ = sample_counts(vec, (q,), config.with_seed(seed), time.perf_counter())
+            counts, _ = sample_counts(vec, (q,), config.shots, seed, time.perf_counter())
             n0, n1 = counts.tolist()
             columns.append([n0 / (n0 + n1), n1 / (n0 + n1)])
         matrices[q] = validate_confusion_matrix(np.array(columns).T)
@@ -95,13 +100,17 @@ def _counts_vector(counts: Mapping[str, float], measured: Sequence[int]) -> np.n
     return vec
 
 
+def _require_calibrated(inverse: Mapping[int, np.ndarray], measured: Sequence[int]) -> None:
+    missing = [q for q in measured if q not in inverse]
+    if missing:
+        raise ValidationError(f"calibration missing for qubits {missing}")
+
+
 def _invert(vec: np.ndarray, inverse: Mapping[int, np.ndarray],
             measured: Sequence[int]) -> np.ndarray:
     """Quasi-distribution vector: `vec` over `measured`, normalized, then
     corrected by each qubit's inverse confusion matrix."""
-    missing = [q for q in measured if q not in inverse]
-    if missing:
-        raise ValidationError(f"calibration missing for qubits {missing}")
+    _require_calibrated(inverse, measured)
     total = vec.sum()
     if total == 0:
         raise ValidationError("counts sum to zero")
@@ -125,12 +134,50 @@ def mitigate_counts(counts: Mapping[str, float], calibration: Mapping[int, np.nd
     return bitstring_map(_invert(vec, inverse, measured), len(measured))
 
 
+def _fold_weights(stages: tuple) -> dict:
+    """Per qubit that every stage calibrates, the pair of Python floats
+    w = S1^T(S2^T(...Sm^T(1, -1))), S1 ... Sm being the qubit's inverse
+    confusion matrices from the innermost stage out: w . p is the qubit's
+    parity after every stage has corrected the distribution p over it."""
+    weights = {}
+    for q in set.intersection(*map(set, stages)):
+        w0, w1 = 1.0, -1.0
+        for stage in reversed(stages):  # the outermost stage's transpose first
+            (a, b), (c, d) = stage[q].tolist()
+            w0, w1 = a * w0 + c * w1, b * w0 + d * w1
+        weights[q] = (w0, w1)
+    return weights
+
+
+def _build_parity_weights(pairs: tuple) -> np.ndarray:
+    """Read-only g = pairs[0] (x) pairs[1] (x) ...: entry i weighs outcome
+    format(i, f"0{k}b") of the k qubits the pairs belong to, lowest leftmost."""
+    g = np.ones(1)
+    for pair in pairs:
+        g = (g[:, None] * pair).reshape(-1)
+    g.flags.writeable = False
+    return g
+
+
+# shared by every objective, so objectives built from one calibration build
+# each term's weights once
+_cached_parity_weights = functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)(_build_parity_weights)
+
+
+def _parity_weights(pairs: tuple) -> np.ndarray:
+    if len(pairs) > _CACHED_WEIGHT_QUBITS:
+        return _build_parity_weights(pairs)
+    return _cached_parity_weights(pairs)
+
+
 class MitigatedObjective(DefaultObjective):
     """Readout-mitigation stage of the objective pipeline.
 
     Evaluates like the wrapped objective, but re-estimates every term from
-    its counts (or exact distribution) corrected by the inverse confusion
-    matrices, and publishes both the raw and the mitigated value.  Wrapping
+    its counts (or exact distribution) n corrected by the inverse confusion
+    matrices, and publishes both the raw and the mitigated value.  The
+    estimate is linear in n: Re(c) (g . n) / sum(n), with one weight pair per
+    qubit folded from every stage and g their Kronecker product.  Wrapping
     a MitigatedObjective appends a stage to its flat list of stages, so the
     corrections chain innermost first.  Without `calibration`, the stage
     calibrates once, on the first evaluation, and every sink the objective
@@ -146,6 +193,8 @@ class MitigatedObjective(DefaultObjective):
         # inverse confusion matrix per qubit, per stage; None until calibrated
         stage = _inverse_confusion(calibration) if calibration is not None else None
         self._stages = inner._stages + (stage,)
+        # weight pair per qubit, folded from every stage; None until calibrated
+        self._weights = None if None in self._stages else _fold_weights(self._stages)
         self._calibration = None  # what the self-calibrated stages measured
         self._calibration_lock = threading.Lock()
         if stage is None and self.config.exact:
@@ -159,17 +208,27 @@ class MitigatedObjective(DefaultObjective):
                 self._calibration = calibrate(self.kernel.num_qubits, self.config)
                 inverse = _inverse_confusion(self._calibration)
                 self._stages = tuple(inverse if s is None else s for s in self._stages)
+                self._weights = _fold_weights(self._stages)
         if (self._calibration is not None and sink is not None
                 and "readout-calibration" not in sink.metadata):
             sink.metadata.put("readout-calibration", HeterogeneousMap({
                 f"q{q}": [float(x) for x in m.reshape(-1)]
                 for q, m in sorted(self._calibration.items())
             }))
+        weights = self._weights
         for run in runs:
-            quasi = run.outcomes
-            for inverse in self._stages:
-                quasi = _invert(quasi, inverse, run.term.string.qubits)
+            qubits = run.term.string.qubits
+            try:
+                pairs = tuple([weights[q] for q in qubits])
+            except KeyError:
+                for stage in self._stages:
+                    _require_calibrated(stage, qubits)
+                raise
+            total = run.outcomes.sum()
+            if total == 0:
+                raise ValidationError("counts sum to zero")
             run.metadata.put("raw-expectation", run.expectation)
             run.metadata.put("mitigated", True)
-            run.expectation = expectation_from_vector(run.term, quasi)
+            run.expectation = float(run.term.coefficient.real
+                                    * (_parity_weights(pairs) @ run.outcomes) / total)
         return True

@@ -35,8 +35,15 @@ _PY_KINDS = {
 }
 
 
+# exact types whose values are already normalized, checked before isinstance
+_EXACT_KINDS = {bool: Kind.BOOL, int: Kind.INT, float: Kind.REAL, str: Kind.STRING}
+
+
 def _kind_of(value) -> tuple:
     """Classify a value, returning (kind, normalized value)."""
+    kind = _EXACT_KINDS.get(type(value))
+    if kind is not None:
+        return kind, value
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return Kind.BOOL, bool(value)
     if isinstance(value, (int, np.integer)):

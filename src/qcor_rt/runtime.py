@@ -103,8 +103,9 @@ class DefaultObjective(ObjectiveFunction):
             with self._exec_lock:  # one index per execution, across threads
                 index = self._exec_count
                 self._exec_count += 1
-            cfg = self.config.with_seed(derive_seed(self.config.seed, index))
-            counts, metadata = sample_counts(dist, term.string.qubits, cfg, time.perf_counter())
+            counts, metadata = sample_counts(dist, term.string.qubits, self.config.shots,
+                                             derive_seed(self.config.seed, index),
+                                             time.perf_counter())
             runs.append(self._run(term, metadata, counts))
         return runs, offset
 

@@ -12,6 +12,7 @@ because measurement is terminal.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import time
@@ -85,8 +86,18 @@ class ReadoutNoiseModel:
 
     def confusion_matrix(self, qubit: int) -> np.ndarray:
         """Exact 2x2 column-stochastic matrix M[observed][true]."""
-        p01, p10 = self.probs(qubit)
-        return np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+        return _confusion(*self.probs(qubit))
+
+
+def _confusion(p01, p10) -> np.ndarray:
+    return np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _confusion_floats(p01, p10) -> tuple:
+    """`_confusion(p01, p10)` as nested tuples of Python floats, entries `==`
+    to the array's, which `_apply_1q` multiplies without numpy scalars."""
+    return tuple(map(tuple, _confusion(p01, p10).tolist()))
 
 
 def _is_int(value) -> bool:
@@ -238,14 +249,18 @@ def _distribution(amps: np.ndarray, n: int, measured: tuple, noise,
     where the noise model acts, for exact results and for sampling alike."""
     vec = _marginal(amps, n, measured, probs)
     if noise is not None:
-        vec = apply_per_qubit(vec, [noise.confusion_matrix(q) for q in measured])
+        vec = apply_per_qubit(vec, [_confusion_floats(*noise.probs(q)) for q in measured])
     return vec
 
 
 def bitstring_map(vec: np.ndarray, k: int) -> dict:
-    """The nonzero entries of a 2^k outcome vector keyed format(i, f"0{k}b")."""
+    """The nonzero entries of a 2^k outcome vector keyed format(i, f"0{k}b"):
+    each label is its index's bits as UCS-4 digit code points, viewed as a str."""
     nonzero = np.flatnonzero(vec)
-    return dict(zip([format(i, f"0{k}b") for i in nonzero.tolist()], vec[nonzero].tolist()))
+    width = max(k, 1)  # format(0, "00b") is "0"
+    digits = ((nonzero[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint32) + 48
+    labels = digits.view(f"U{width}").reshape(-1)
+    return dict(zip(labels.tolist(), vec[nonzero].tolist()))
 
 
 def exact_distribution(kernel: Kernel, noise: ReadoutNoiseModel | None = None) -> dict:
@@ -286,19 +301,19 @@ def execute(kernel: Kernel, config: ExecutionConfig):
     start = time.perf_counter()
     measured = kernel.measured_qubits()
     vec = _distribution(_evolve(kernel), kernel.num_qubits, measured, config.noise)
-    counts, metadata = sample_counts(vec, measured, config, start)
+    counts, metadata = sample_counts(vec, measured, config.shots, config.seed, start)
     return bitstring_map(counts, len(measured)), metadata
 
 
-def sample_counts(vec: np.ndarray, measured: tuple, config: ExecutionConfig, start: float):
-    """(counts, metadata) of `config.shots` seeded draws from the outcome
+def sample_counts(vec: np.ndarray, measured: tuple, shots: int, seed: int, start: float):
+    """(counts, metadata) of `shots` draws seeded with `seed` from the outcome
     vector `vec` over `measured`, readout noise already applied: counts is an
     int64 vector indexed like `vec`, and "wall-time-ms" counts from `start`,
-    a perf_counter reading."""
-    counts = np.random.default_rng(config.seed).multinomial(config.shots, vec)
+    a perf_counter reading.  The caller has validated shots and seed."""
+    counts = np.random.default_rng(seed).multinomial(shots, vec)
     metadata = HeterogeneousMap({
-        "shots": config.shots,
-        "seed": config.seed,
+        "shots": shots,
+        "seed": seed,
         "measured-qubits": list(measured),
         "generator": GENERATOR_NAME,
         "wall-time-ms": (time.perf_counter() - start) * 1e3,

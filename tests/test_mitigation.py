@@ -9,8 +9,12 @@ from qcor_rt import (DefaultObjective, ExecutionConfig, GateKind, Instruction, K
                      MitigatedObjective, PauliObservable, ReadoutNoiseModel, ResultBuffer,
                      ValidationError, calibrate, confusion_from_noise, derive_seed,
                      exact_distribution, exact_expectation, execute, expectation_from_counts,
-                     mitigate_counts, parse_kernel, parse_pauli)
-from qcor_rt.mitigation import _CALIBRATION_SEED_OFFSET, validate_confusion_matrix
+                     expectation_from_vector, identity_kernel, mitigate_counts, mitigation,
+                     parse_kernel, parse_pauli, simulator)
+from qcor_rt.mitigation import (_CALIBRATION_SEED_OFFSET, _inverse_confusion, _invert,
+                                validate_confusion_matrix)
+from qcor_rt.results import HeterogeneousMap
+from qcor_rt.runtime import TermRun
 from qcor_rt.simulator import MAX_QUBITS
 
 from conftest import random_bound_kernel, random_hermitian_observable
@@ -334,3 +338,94 @@ class TestSharedCalibration:
         assert not any(t.is_alive() for t in pool)
         assert errors == []
         assert calls == [2]
+
+
+def _random_confusion(rng):
+    """An asymmetric column-stochastic 2x2 matrix [[1-p01, p10], [p01, 1-p10]]."""
+    p01, p10 = rng.uniform(0.0, 0.2, size=2)
+    return np.array([[1 - p01, p10], [p01, 1 - p10]])
+
+
+class TestWeightPath:
+    """The stage's estimate is one dot with per-term parity weights g."""
+
+    @staticmethod
+    def _stacked(inner, cals):
+        obj = inner
+        for cal in cals:
+            obj = MitigatedObjective(obj, cal)
+        return obj
+
+    @pytest.mark.parametrize("num_stages", [1, 2, 3])
+    def test_estimate_matches_chained_invert(self, num_stages):
+        rng = np.random.default_rng(500 + num_stages)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))
+            qubits = sorted(rng.choice(n, size=k, replace=False).tolist())
+            string = parse_pauli(" ".join(f"Z{q}" for q in qubits)).terms[0].string
+            term = PauliObservable([(rng.normal(), string)]).terms[0]
+            inner = DefaultObjective(PauliObservable([(1.0, term.string)]),
+                                     identity_kernel(n), ExecutionConfig(shots=500))
+            # a fresh random matrix per stage and qubit: the stages do not commute
+            cals = [{q: _random_confusion(rng) for q in range(n)}
+                    for _ in range(num_stages)]
+            obj = self._stacked(inner, cals)
+            for outcomes in (rng.integers(0, 50, size=1 << k), rng.dirichlet(np.ones(1 << k))):
+                run = TermRun(term, HeterogeneousMap(), 0.0, outcomes)
+                assert obj._mitigate([run], None)
+                quasi = outcomes
+                for cal in cals:
+                    quasi = _invert(quasi, _inverse_confusion(cal), qubits)
+                want = expectation_from_vector(term, quasi)
+                assert abs(run.expectation - want) <= 1e-12, (n, qubits, num_stages)
+
+    def test_only_measured_qubits_need_calibration(self):
+        kernel = parse_kernel("kernel prep() qubits 3 { X q0; H q1; }")
+        obs = parse_pauli("Z0 + Z0 Z1")
+        config = ExecutionConfig(shots=1000, seed=3)
+        m = np.array([[0.9, 0.2], [0.1, 0.8]])
+        full = {0: m, 1: m}  # q2 is not measured by any term
+        assert math.isfinite(MitigatedObjective(DefaultObjective(obs, kernel, config), full)([]))
+        for cals in ([{0: m}], [full, {0: m}]):
+            obj = self._stacked(DefaultObjective(obs, kernel, config), cals)
+            with pytest.raises(ValidationError, match=r"calibration missing for qubits \[1\]"):
+                obj([])
+
+    def test_objectives_sharing_a_calibration_build_each_weight_once(self):
+        kernel = parse_kernel("kernel prep() qubits 3 { H q0; CNOT q0 q1; Ry(0.3) q2; }")
+        obs = parse_pauli("Z0 + Z1 Z2 + X0 X1 + Y2 + 0.5 X1 Z2")
+        rng = np.random.default_rng(61)
+        calibration = {q: _random_confusion(rng) for q in range(3)}
+        cache = mitigation._cached_parity_weights
+        cache.cache_clear()
+        for seed in (1, 2):
+            config = ExecutionConfig(shots=400, seed=seed)
+            MitigatedObjective(DefaultObjective(obs, kernel, config), calibration)([])
+            # one build per distinct measured-qubit tuple: (0,), (1, 2), (0, 1), (2,)
+            assert cache.cache_info().misses == 4
+        assert cache.cache_info().hits == 2 * 5 - 4
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_stage_makes_no_per_qubit_passes(self, monkeypatch, exact):
+        noise = ReadoutNoiseModel(p01=0.03, p10=0.06)
+        kernel = parse_kernel("kernel prep() qubits 3 { H q0; CNOT q0 q1; Ry(0.7) q2; }")
+        obs = parse_pauli("Z0 Z1 + X0 X1 Z2 - 0.3 Y2")
+        obj = MitigatedObjective(MitigatedObjective(
+            DefaultObjective(obs, kernel, ExecutionConfig(shots=800, seed=9, exact=exact,
+                                                          noise=noise)),
+            confusion_from_noise(noise, range(3))), {q: np.eye(2) for q in range(3)})
+        runs, _ = obj._measure(kernel)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-qubit pass in the mitigation stage")
+
+        monkeypatch.setattr(mitigation, "_invert", forbidden)
+        monkeypatch.setattr(mitigation, "apply_per_qubit", forbidden)
+        monkeypatch.setattr(simulator, "_apply_1q", forbidden)
+        assert obj._mitigate(runs, None)
+        assert all(r.metadata.get("mitigated", bool) for r in runs)
+        monkeypatch.undo()
+        monkeypatch.setattr(mitigation, "_invert", forbidden)
+        monkeypatch.setattr(mitigation, "apply_per_qubit", forbidden)
+        assert math.isfinite(obj([]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -302,6 +303,50 @@ class TestNoiseModel:
     def test_confusion_matrix(self):
         m = ReadoutNoiseModel(p01=0.05, p10=0.10).confusion_matrix(0)
         assert np.allclose(m, [[0.95, 0.10], [0.05, 0.90]])
+
+    def test_noisy_distribution_equals_array_matrices(self):
+        """Readout noise applied from cached float tuples is bit-identical to
+        applying the model's confusion matrices as arrays, whatever the
+        number types of the probabilities; a float32 pair and the equal
+        float64 pair (same hash, different 1 - p) are cached apart."""
+        simulator._confusion_floats.cache_clear()
+        rng = np.random.default_rng(313)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        amps /= np.linalg.norm(amps)
+        f32 = (np.float32(0.03), np.float32(0.08))
+        pairs = [(0.03, 0.08), f32, tuple(map(float, f32)), (0, 1), (np.float16(0.1), 0.25)]
+        for pair, measured in itertools.product(pairs, ((0, 1, 2, 3), (1, 2), (3,))):
+            for noise in (ReadoutNoiseModel(*pair), ReadoutNoiseModel(per_qubit={2: pair})):
+                got = simulator._distribution(amps, 4, measured, noise)
+                vec = simulator._marginal(amps, 4, measured)
+                want = simulator.apply_per_qubit(
+                    vec, [noise.confusion_matrix(q) for q in measured])
+                assert got.tobytes() == want.tobytes(), (pair, measured)
+
+
+def _format_loop_map(vec, k):
+    """The reference labelling: one format call per nonzero outcome."""
+    nonzero = np.flatnonzero(vec)
+    return dict(zip([format(i, f"0{k}b") for i in nonzero.tolist()], vec[nonzero].tolist()))
+
+
+class TestBitstringMap:
+    @pytest.mark.parametrize("k", range(13))
+    def test_equals_format_loop_in_keys_and_order(self, k):
+        rng = np.random.default_rng(7000 + k)
+        n = 1 << k
+        sparse = np.zeros(n, dtype=np.int64)
+        hits = rng.choice(n, size=min(n, 5), replace=False)
+        sparse[hits] = rng.integers(1, 100, size=len(hits))
+        sparse_probs = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
+        vectors = [sparse, rng.integers(1, 1000, size=n, dtype=np.int64),
+                   sparse_probs, rng.dirichlet(np.ones(n))]
+        for vec in vectors:
+            got = simulator.bitstring_map(vec, k)
+            want = _format_loop_map(vec, k)
+            assert list(got.items()) == list(want.items())
+            assert all(type(key) is str for key in got)
+        assert simulator.bitstring_map(np.zeros(n), k) == {}
 
 
 def _loop_readout_flips(counts_vec, measured, noise, rng):
