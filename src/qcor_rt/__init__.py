@@ -13,9 +13,8 @@ from .optimizers import FunctionObjective, NelderMead, Optimizer, make_optimizer
 from .pauli import (PauliObservable, PauliString, PauliTerm,
                     expectation_from_counts, expectation_from_vector, parse_pauli)
 from .results import HeterogeneousMap, Kind, ResultBuffer
-from .runtime import (DefaultObjective, ObjectiveFunction, TaskHandle, TaskSpec,
-                      computational_basis_observable, derive_seed,
-                      publish_evaluation, sync, task_initiate)
+from .runtime import (DefaultObjective, TaskHandle, TaskSpec, computational_basis_observable,
+                      derive_seed, publish_evaluation, sync, task_initiate)
 from .simulator import (ExecutionConfig, ReadoutNoiseModel, StateVector, apply_gate,
                         exact_distribution, exact_distributions, exact_expectation, execute)
 

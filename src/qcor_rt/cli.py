@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import OptimizationError, ParseError, QcorError, TaskError, ValidationError
+from .errors import ParseError, QcorError, ValidationError
 from .fermion import jordan_wigner, parse_fermion
 from .kernel import parse_kernel
 from .mitigation import MitigatedObjective, calibrate
@@ -172,9 +172,7 @@ def _cmd_vqe(args) -> int:
         options["initial-point"] = args.initial_point
     optimizer = make_optimizer(args.optimizer, options)
     objective = _make_objective(observable, kernel, config, args.mitigate)
-    spec = TaskSpec(kernel=kernel, observable=observable, objective=objective,
-                    optimizer=optimizer, config=config)
-    buffer = sync(task_initiate(spec))
+    buffer = sync(task_initiate(TaskSpec(objective=objective, optimizer=optimizer)))
     _emit(_buffer_json(buffer), args.output)
     value = buffer.metadata.get("opt-value", float)
     params = buffer.metadata.get("opt-params", list)
@@ -214,9 +212,7 @@ def _cmd_evaluate(args) -> int:
             point = config.with_seed(int(seed.generate_state(1)[0]))
             objective = _make_objective(observable, kernel, point, args.mitigate,
                                         calibration)
-            spec = TaskSpec(kernel=kernel, observable=observable, objective=objective,
-                            params=[float(theta)], config=point)
-            buffer = sync(task_initiate(spec))
+            buffer = sync(task_initiate(TaskSpec(objective=objective, params=[float(theta)])))
             records.append({"params": [float(theta)],
                             "value": buffer.metadata.get("value", float)})
         _emit(json.dumps(records, indent=2), args.output)
@@ -229,9 +225,7 @@ def _cmd_evaluate(args) -> int:
             f"kernel {kernel.name!r} takes {len(kernel.params)} parameter(s), "
             f"got {len(params)}", EXIT_USAGE)
     objective = _make_objective(observable, kernel, config, args.mitigate)
-    spec = TaskSpec(kernel=kernel, observable=observable, objective=objective,
-                    params=params, config=config)
-    buffer = sync(task_initiate(spec))
+    buffer = sync(task_initiate(TaskSpec(objective=objective, params=params)))
     _emit(_buffer_json(buffer), args.output)
     print(f"value = {buffer.metadata.get('value', float):.10g}", file=sys.stderr)
     return EXIT_OK
@@ -287,7 +281,7 @@ def main(argv=None) -> int:
         # raised before any task runs: the input itself is invalid
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OptimizationError, TaskError, QcorError, OSError) as e:
+    except (QcorError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

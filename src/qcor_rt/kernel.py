@@ -19,7 +19,7 @@ import numbers
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ParseError, ValidationError
 from .lexer import NUMBER, TokenStream
@@ -128,9 +128,6 @@ class Kernel:
         )
         return Kernel(self.name, (), self.num_qubits, body)
 
-    def with_instructions(self, extra: Iterable[Instruction]) -> "Kernel":
-        return Kernel(self.name, self.params, self.num_qubits, self.body + tuple(extra))
-
     def with_measurement_basis(self, string: "PauliString") -> "Kernel":
         """Append basis changes then measurements for the string's support."""
         if self.params:
@@ -142,26 +139,22 @@ class Kernel:
                 raise ValidationError(f"qubit {q} outside the {self.num_qubits}-qubit kernel")
         change = [Instruction(gate, (q,)) for q, kind in string.ops for gate in BASIS_CHANGE[kind]]
         measure = [Instruction(GateKind.Measure, (q,)) for q in string.qubits]
-        return self.with_instructions(change + measure)
-
-    def to_source(self) -> str:
-        lines = [f"kernel {self.name}({','.join(self.params)}) qubits {self.num_qubits} {{"]
-        for instr in self.body:
-            gate = instr.kind.value
-            if instr.param is not None:
-                arg = instr.param if isinstance(instr.param, str) else f"{instr.param:.17g}"
-                gate = f"{gate}({arg})"
-            operands = " ".join(f"q{q}" for q in instr.qubits)
-            lines.append(f"  {gate} {operands};")
-        lines.append("}")
-        return "\n".join(lines)
-
-    def __str__(self):
-        return self.to_source()
+        return Kernel(self.name, self.params, self.num_qubits,
+                      self.body + tuple(change + measure))
 
 
 def print_kernel(kernel: Kernel) -> str:
-    return kernel.to_source()
+    """The kernel's DSL source, which `parse_kernel` reads back unchanged."""
+    lines = [f"kernel {kernel.name}({','.join(kernel.params)}) qubits {kernel.num_qubits} {{"]
+    for instr in kernel.body:
+        gate = instr.kind.value
+        if instr.param is not None:
+            arg = instr.param if isinstance(instr.param, str) else f"{instr.param:.17g}"
+            gate = f"{gate}({arg})"
+        operands = " ".join(f"q{q}" for q in instr.qubits)
+        lines.append(f"  {gate} {operands};")
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -247,5 +240,5 @@ def parse_kernel(text: str) -> Kernel:
         raise ParseError(str(e)) from e
 
 
-def identity_kernel(num_qubits: int, name: str = "identity") -> Kernel:
-    return Kernel(name, (), num_qubits, ())
+def identity_kernel(num_qubits: int) -> Kernel:
+    return Kernel("identity", (), num_qubits, ())

@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .pauli import _build_parity_weights
 from .results import HeterogeneousMap
 from .runtime import DefaultObjective, derive_seed
 from .simulator import (MAX_QUBITS, ExecutionConfig, ReadoutNoiseModel, apply_per_qubit,
@@ -30,7 +31,10 @@ _WEIGHT_CACHE_SIZE = 1024
 
 
 def validate_confusion_matrix(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    try:
+        m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as e:  # ragged rows, or entries that are not numbers
+        raise ValidationError(f"confusion matrix must be 2x2 numbers, got {m!r}") from e
     if m.shape != (2, 2):
         raise ValidationError("confusion matrix must be 2x2")
     if (m < -1e-12).any() or (m > 1 + 1e-12).any():
@@ -42,9 +46,14 @@ def validate_confusion_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _inverse_confusion(calibration: Mapping[int, np.ndarray]) -> dict:
-    """Each qubit's validated confusion matrix, inverted."""
-    return {q: np.linalg.inv(validate_confusion_matrix(m)) for q, m in calibration.items()}
+def _inverse_confusion(calibration: Mapping[int, np.ndarray], qubits=None) -> dict:
+    """The validated confusion matrix of each of `qubits` (default: all) that
+    `calibration` holds, inverted."""
+    if not isinstance(calibration, Mapping):
+        raise ValidationError(
+            f"calibration must map qubits to confusion matrices, got {calibration!r}")
+    return {q: np.linalg.inv(validate_confusion_matrix(calibration[q]))
+            for q in (calibration if qubits is None else qubits) if q in calibration}
 
 
 def confusion_from_noise(noise: ReadoutNoiseModel | None, qubits) -> dict:
@@ -67,7 +76,7 @@ def calibrate(num_qubits: int, config: ExecutionConfig) -> dict:
     """Each qubit's confusion matrix: analytic from the noise model in exact
     mode, otherwise estimated from |0> and |1> preparation runs.  A run that
     prepares |b> on qubit q and measures it has the marginal e_b on q, so
-    each run is one seeded draw from e_b after q's readout noise."""
+    each run is one seeded draw from column b of q's confusion matrix."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValidationError(f"calibration needs 1 to {MAX_QUBITS} qubits, got {num_qubits}")
     if config.exact:
@@ -75,13 +84,12 @@ def calibrate(num_qubits: int, config: ExecutionConfig) -> dict:
     _check_calibration_shots(config.shots)
     matrices = {}
     for q in range(num_qubits):
+        confusion = config.noise.confusion_matrix(q) if config.noise is not None else np.eye(2)
         columns = []
         for b in (0, 1):
-            vec = np.eye(2)[b]
-            if config.noise is not None:
-                vec = apply_per_qubit(vec, [config.noise.confusion_matrix(q)])
             seed = derive_seed(config.seed, _CALIBRATION_SEED_OFFSET + 2 * q + b)
-            counts, _ = sample_counts(vec, (q,), config.shots, seed, time.perf_counter())
+            counts, _ = sample_counts(confusion[:, b], (q,), config.shots, seed,
+                                      time.perf_counter())
             n0, n1 = counts.tolist()
             columns.append([n0 / (n0 + n1), n1 / (n0 + n1)])
         matrices[q] = validate_confusion_matrix(np.array(columns).T)
@@ -130,7 +138,7 @@ def mitigate_counts(counts: Mapping[str, float], calibration: Mapping[int, np.nd
     measured = (sorted(measured_qubits) if measured_qubits is not None
                 else list(range(len(next(iter(counts))))))
     vec = _counts_vector(counts, measured)  # checks every bitstring's length
-    inverse = _inverse_confusion({q: calibration[q] for q in measured if q in calibration})
+    inverse = _inverse_confusion(calibration, measured)
     return bitstring_map(_invert(vec, inverse, measured), len(measured))
 
 
@@ -147,16 +155,6 @@ def _fold_weights(stages: tuple) -> dict:
             w0, w1 = a * w0 + c * w1, b * w0 + d * w1
         weights[q] = (w0, w1)
     return weights
-
-
-def _build_parity_weights(pairs: tuple) -> np.ndarray:
-    """Read-only g = pairs[0] (x) pairs[1] (x) ...: entry i weighs outcome
-    format(i, f"0{k}b") of the k qubits the pairs belong to, lowest leftmost."""
-    g = np.ones(1)
-    for pair in pairs:
-        g = (g[:, None] * pair).reshape(-1)
-    g.flags.writeable = False
-    return g
 
 
 # shared by every objective, so objectives built from one calibration build

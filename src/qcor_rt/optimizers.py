@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,12 +29,15 @@ class NelderMead(Optimizer):
 
     _OPTION_KEYS = ("max-iterations", "tolerance", "initial-point", "initial-step")
 
-    def __init__(self, options: HeterogeneousMap | dict | None = None):
-        opts = dict(options) if isinstance(options, dict) else {}
+    def __init__(self, options: HeterogeneousMap | Mapping | None = None):
         if isinstance(options, HeterogeneousMap):
-            for key in options.keys():
-                kind = options.kind_of(key)
-                opts[key] = options.get(key, kind)
+            opts = {key: options.get(key, options.kind_of(key)) for key in options.keys()}
+        elif isinstance(options, Mapping):
+            opts = dict(options)
+        elif options is None:
+            opts = {}
+        else:
+            raise ValidationError(f"optimizer options must be a mapping, got {options!r}")
         for key in opts:
             if key not in self._OPTION_KEYS:
                 raise ValidationError(f"unknown optimizer option {key!r}")

@@ -337,12 +337,20 @@ def parse_pauli(text: str) -> PauliObservable:
 # ---------------------------------------------------------------------------
 # estimation
 
+def _build_parity_weights(pairs: tuple) -> np.ndarray:
+    """Read-only g = pairs[0] (x) pairs[1] (x) ...: entry i weighs outcome
+    format(i, f"0{k}b") of the k qubits the pairs belong to, lowest leftmost."""
+    g = np.ones(1)
+    for pair in pairs:
+        g = (g[:, None] * pair).reshape(-1)
+    g.flags.writeable = False
+    return g
+
+
 @functools.cache
 def _parity_signs(k: int) -> np.ndarray:
     """(-1)^popcount(i) for i < 2^k, read-only because the cache shares it."""
-    signs = functools.reduce(np.kron, [np.array([1.0, -1.0])] * k, np.ones(1))
-    signs.flags.writeable = False
-    return signs
+    return _build_parity_weights(((1.0, -1.0),) * k)
 
 
 def expectation_from_vector(term: PauliTerm, weights: np.ndarray) -> float:

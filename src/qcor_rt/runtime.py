@@ -46,25 +46,7 @@ class TermRun:
     outcomes: np.ndarray  # int64 shot counts (sampled) or float64 probabilities (exact)
 
 
-class ObjectiveFunction:
-    """Parameterized scalar function whose evaluation drives the simulator."""
-
-    def __init__(self, observable: PauliObservable, kernel: Kernel,
-                 config: ExecutionConfig | None = None,
-                 sink: ResultBuffer | None = None):
-        self.observable = observable
-        self.kernel = kernel
-        self.config = config if config is not None else ExecutionConfig()
-        self.sink = sink
-
-    def dimensions(self) -> int:
-        return len(self.kernel.params)
-
-    def __call__(self, params: Sequence[float]) -> float:
-        raise NotImplementedError
-
-
-class DefaultObjective(ObjectiveFunction):
+class DefaultObjective:
     """Expectation value of the observable at the given parameters.
 
     One evaluation binds, measures each non-identity term (exact or
@@ -75,14 +57,22 @@ class DefaultObjective(ObjectiveFunction):
 
     _stages: tuple = ()  # readout-mitigation stages, innermost first
 
-    def __init__(self, observable, kernel, config=None, sink=None):
+    def __init__(self, observable: PauliObservable, kernel: Kernel,
+                 config: ExecutionConfig | None = None,
+                 sink: ResultBuffer | None = None):
         observable.check_kernel(kernel)  # fail before any task starts
         if kernel.num_qubits > MAX_QUBITS:
             raise ValidationError(
                 f"simulator capped at {MAX_QUBITS} qubits, kernel has {kernel.num_qubits}")
-        super().__init__(observable, kernel, config, sink)
+        self.observable = observable
+        self.kernel = kernel
+        self.config = config if config is not None else ExecutionConfig()
+        self.sink = sink
         self._exec_count = 0
         self._exec_lock = threading.Lock()
+
+    def dimensions(self) -> int:
+        return len(self.kernel.params)
 
     def _run(self, term: PauliTerm, metadata, outcomes: np.ndarray) -> TermRun:
         metadata.put("term", str(term.string))
@@ -92,19 +82,20 @@ class DefaultObjective(ObjectiveFunction):
     def _measure(self, bound: Kernel) -> tuple:
         """(TermRun per non-identity term, identity offset), every term measured
         from one evolution: exact mode publishes its outcome vector after readout
-        noise, sampled mode draws shots from it with the next per-execution seed."""
+        noise, sampled mode draws each term's shots from it with the next
+        per-execution seed."""
         terms, offset = self.observable.split_identity()
         dists = exact_distributions(bound, [t.string for t in terms], self.config.noise)
+        if self.config.exact:
+            return [self._run(term, HeterogeneousMap({"mode": "exact"}), dist)
+                    for term, dist in zip(terms, dists)], offset
+        with self._exec_lock:  # consecutive indices for this evaluation, across threads
+            first = self._exec_count
+            self._exec_count += len(terms)
         runs = []
-        for term, dist in zip(terms, dists):
-            if self.config.exact:
-                runs.append(self._run(term, HeterogeneousMap({"mode": "exact"}), dist))
-                continue
-            with self._exec_lock:  # one index per execution, across threads
-                index = self._exec_count
-                self._exec_count += 1
+        for i, (term, dist) in enumerate(zip(terms, dists)):
             counts, metadata = sample_counts(dist, term.string.qubits, self.config.shots,
-                                             derive_seed(self.config.seed, index),
+                                             derive_seed(self.config.seed, first + i),
                                              time.perf_counter())
             runs.append(self._run(term, metadata, counts))
         return runs, offset
@@ -170,11 +161,12 @@ def _executor() -> ThreadPoolExecutor:
 
 @dataclass
 class TaskSpec:
-    """Arguments for task_initiate; every field may take its default."""
+    """Arguments for task_initiate; every field may take its default.  Given
+    an objective, the kernel, observable, config and num_qubits go unused."""
 
     kernel: Kernel | None = None
     observable: PauliObservable | None = None
-    objective: ObjectiveFunction | None = None
+    objective: DefaultObjective | None = None
     optimizer: object | None = None
     params: Sequence[float] | None = None
     config: ExecutionConfig = field(default_factory=ExecutionConfig)
@@ -198,26 +190,21 @@ def computational_basis_observable(num_qubits: int) -> PauliObservable:
 
 def _resolve(spec: TaskSpec):
     """Apply the default-argument rules and validate synchronously."""
-    kernel = spec.kernel
-    observable = spec.observable
-    if kernel is None:
-        if observable is not None and observable.num_qubits() > 0:
-            width = observable.num_qubits()
-        elif spec.num_qubits is not None:
-            width = spec.num_qubits
-        elif spec.objective is not None:
-            width = None
-        else:
-            raise ValidationError(
-                "cannot infer kernel width: provide kernel, observable, or num_qubits"
-            )
-        if width is not None:
-            kernel = identity_kernel(width)
     if spec.objective is not None:
         objective = spec.objective
     else:
+        kernel = spec.kernel
+        observable = spec.observable
         if kernel is None:
-            raise ValidationError("a kernel or objective is required")
+            if observable is not None and observable.num_qubits() > 0:
+                width = observable.num_qubits()
+            elif spec.num_qubits is not None:
+                width = spec.num_qubits
+            else:
+                raise ValidationError(
+                    "cannot infer kernel width: provide kernel, observable, or num_qubits"
+                )
+            kernel = identity_kernel(width)
         if observable is None:
             observable = computational_basis_observable(kernel.num_qubits)
         objective = DefaultObjective(observable, kernel, spec.config)

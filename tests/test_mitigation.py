@@ -36,6 +36,10 @@ class TestValidateConfusionMatrix:
         with pytest.raises(ValidationError):
             validate_confusion_matrix([[1.2, 0.1], [-0.2, 0.9]])
 
+    def test_ragged_rejected(self):
+        with pytest.raises(ValidationError, match="2x2"):
+            validate_confusion_matrix([[1, 0], [0]])
+
 
 class TestCalibrate:
     def test_noiseless_gives_identity(self):
@@ -160,6 +164,11 @@ class TestMitigateCounts:
     def test_empty_counts(self):
         with pytest.raises(ValidationError):
             mitigate_counts({}, {0: np.eye(2)})
+
+    @pytest.mark.parametrize("calibration", [[np.eye(2)], "ab", 3, None])
+    def test_calibration_must_be_a_mapping(self, calibration):
+        with pytest.raises(ValidationError, match="calibration must map qubits"):
+            mitigate_counts({"0": 3, "1": 1}, calibration)
 
     @pytest.mark.parametrize("bits", ["0a", "2", "1 ", "-1", "0b"])
     def test_non_binary_bitstring(self, bits):
@@ -297,6 +306,15 @@ class TestMitigatedObjectiveValidation:
     def test_wraps_only_default_objectives(self):
         with pytest.raises(ValidationError):
             MitigatedObjective(object())
+
+    @pytest.mark.parametrize("calibration", [[np.eye(2)], "ab", 3])
+    def test_calibration_must_be_a_mapping(self, calibration):
+        with pytest.raises(ValidationError, match="calibration must map qubits"):
+            MitigatedObjective(self._inner(ExecutionConfig()), calibration)
+
+    def test_ragged_calibration_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="2x2"):
+            MitigatedObjective(self._inner(ExecutionConfig()), {0: [[1, 0], [0]]})
 
     def test_singular_exact_noise_rejected_at_construction(self):
         noise = ReadoutNoiseModel(p01=0.5, p10=0.5)

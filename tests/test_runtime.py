@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -199,6 +200,16 @@ class TestNelderMead:
     def test_unknown_option_rejected(self):
         with pytest.raises(ValidationError):
             NelderMead({"step-size": 0.1})
+
+    def test_any_mapping_is_read(self):
+        assert NelderMead(types.MappingProxyType({"max-iterations": 7})).max_evals == 7
+        with pytest.raises(ValidationError, match="tolerance must be positive"):
+            NelderMead(types.MappingProxyType({"tolerance": -1.0}))
+
+    @pytest.mark.parametrize("options", [[("tolerance", 1e-3)], "tolerance", 3])
+    def test_options_that_are_not_a_mapping_rejected(self, options):
+        with pytest.raises(ValidationError, match="must be a mapping"):
+            NelderMead(options)
 
     def test_non_finite_objective(self):
         obj = FunctionObjective(lambda x: float("nan"), 1)
@@ -499,6 +510,46 @@ class TestSharedObjectiveThreads:
         assert len(seeds) == threads * evals * 4
         assert len(set(seeds)) == len(seeds)
         assert obj._exec_count == len(seeds)
+
+    def test_each_evaluation_takes_one_block_of_seeds(self):
+        """Two threads evaluate one objective: each evaluation's terms draw
+        derive_seed(seed, first + i) for consecutive i, and the blocks cover
+        every index once."""
+        import sys
+
+        obs = parse_pauli(" + ".join(f"Z{q} + X{q}" for q in range(6)))
+        kernel = parse_kernel("kernel k() qubits 6 { H q0; CNOT q0 q1; H q3; }")
+        sink = ResultBuffer()
+        obj = DefaultObjective(obs, kernel, ExecutionConfig(shots=3, seed=4), sink)
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(30):
+                    obj([])
+            except Exception as e:  # reported below; a thread cannot raise into pytest
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for _ in range(2)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert errors == []
+        index_of = {derive_seed(4, i): i for i in range(obj._exec_count)}
+        covered = []
+        for child in sink.children:
+            indices = [index_of[g.metadata.get("seed", int)] for g in child.children]
+            assert indices == list(range(indices[0], indices[0] + len(obs)))
+            covered += indices
+        assert len(sink.children) == 60
+        assert sorted(covered) == list(range(obj._exec_count))
 
 
 class TestSharedObjectiveTasks:
