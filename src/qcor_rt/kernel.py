@@ -86,6 +86,9 @@ class Kernel:
     body: tuple
 
     def __post_init__(self):
+        if isinstance(self.num_qubits, bool) or not isinstance(self.num_qubits, numbers.Integral):
+            raise ValidationError(f"kernel width must be an integer, got {self.num_qubits!r}")
+        object.__setattr__(self, "num_qubits", int(self.num_qubits))
         if self.num_qubits < 1:
             raise ValidationError("kernel needs at least one qubit")
         if len(set(self.params)) != len(self.params):

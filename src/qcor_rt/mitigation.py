@@ -3,15 +3,13 @@ packaged as the readout-mitigation stage of the objective pipeline."""
 
 from __future__ import annotations
 
-import functools
-import threading
 import time
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import _build_parity_weights
+from .pauli import _estimate
 from .results import HeterogeneousMap
 from .runtime import DefaultObjective, derive_seed
 from .simulator import (MAX_QUBITS, ExecutionConfig, ReadoutNoiseModel, apply_per_qubit,
@@ -23,11 +21,6 @@ MIN_DETERMINANT = 1e-6
 # Offset added to the task seed when deriving calibration-run seeds, so
 # calibration draws are decoupled from objective-evaluation draws.
 _CALIBRATION_SEED_OFFSET = 0x5EED
-
-# The parity weights of terms on up to this many qubits are cached, at most
-# _WEIGHT_CACHE_SIZE of them: 32 MiB at most.
-_CACHED_WEIGHT_QUBITS = 12
-_WEIGHT_CACHE_SIZE = 1024
 
 
 def validate_confusion_matrix(m: np.ndarray) -> np.ndarray:
@@ -65,13 +58,6 @@ def confusion_from_noise(noise: ReadoutNoiseModel | None, qubits) -> dict:
     return out
 
 
-def _check_calibration_shots(shots: int) -> None:
-    if shots < MIN_CALIBRATION_SHOTS:
-        raise ValidationError(
-            f"calibration needs at least {MIN_CALIBRATION_SHOTS} shots, got {shots}"
-        )
-
-
 def calibrate(num_qubits: int, config: ExecutionConfig) -> dict:
     """Each qubit's confusion matrix: analytic from the noise model in exact
     mode, otherwise estimated from |0> and |1> preparation runs.  A run that
@@ -81,7 +67,9 @@ def calibrate(num_qubits: int, config: ExecutionConfig) -> dict:
         raise ValidationError(f"calibration needs 1 to {MAX_QUBITS} qubits, got {num_qubits}")
     if config.exact:
         return confusion_from_noise(config.noise, range(num_qubits))
-    _check_calibration_shots(config.shots)
+    if config.shots < MIN_CALIBRATION_SHOTS:
+        raise ValidationError(
+            f"calibration needs at least {MIN_CALIBRATION_SHOTS} shots, got {config.shots}")
     matrices = {}
     for q in range(num_qubits):
         confusion = config.noise.confusion_matrix(q) if config.noise is not None else np.eye(2)
@@ -157,17 +145,6 @@ def _fold_weights(stages: tuple) -> dict:
     return weights
 
 
-# shared by every objective, so objectives built from one calibration build
-# each term's weights once
-_cached_parity_weights = functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)(_build_parity_weights)
-
-
-def _parity_weights(pairs: tuple) -> np.ndarray:
-    if len(pairs) > _CACHED_WEIGHT_QUBITS:
-        return _build_parity_weights(pairs)
-    return _cached_parity_weights(pairs)
-
-
 class MitigatedObjective(DefaultObjective):
     """Readout-mitigation stage of the objective pipeline.
 
@@ -178,9 +155,10 @@ class MitigatedObjective(DefaultObjective):
     qubit folded from every stage and g their Kronecker product.  Wrapping
     a MitigatedObjective appends a stage to its flat list of stages, so the
     corrections chain innermost first.  Without `calibration`, the stage
-    calibrates once, on the first evaluation, and every sink the objective
-    publishes to records the result as "readout-calibration"; pass
-    `calibration` explicitly to skip the calibration runs.
+    calibrates at construction (reusing the inner stage's own calibration
+    if it made one), and every sink the objective publishes to records the
+    result as "readout-calibration"; pass `calibration` explicitly to skip
+    the calibration runs.  Stages and weights are fixed once constructed.
     """
 
     def __init__(self, inner: DefaultObjective,
@@ -188,25 +166,17 @@ class MitigatedObjective(DefaultObjective):
         if not isinstance(inner, DefaultObjective):
             raise ValidationError("MitigatedObjective wraps a DefaultObjective")
         super().__init__(inner.observable, inner.kernel, inner.config, inner.sink)
-        # inverse confusion matrix per qubit, per stage; None until calibrated
-        stage = _inverse_confusion(calibration) if calibration is not None else None
-        self._stages = inner._stages + (stage,)
-        # weight pair per qubit, folded from every stage; None until calibrated
-        self._weights = None if None in self._stages else _fold_weights(self._stages)
-        self._calibration = None  # what the self-calibrated stages measured
-        self._calibration_lock = threading.Lock()
-        if stage is None and self.config.exact:
-            confusion_from_noise(self.config.noise, range(self.kernel.num_qubits))
-        elif stage is None:
-            _check_calibration_shots(self.config.shots)
-
-    def _mitigate(self, runs: list, sink) -> bool:
-        with self._calibration_lock:  # one calibration, however many threads
-            if None in self._stages:
+        self._calibration = inner._calibration  # what the self-calibrated stages measured
+        if calibration is None:
+            if self._calibration is None:
                 self._calibration = calibrate(self.kernel.num_qubits, self.config)
-                inverse = _inverse_confusion(self._calibration)
-                self._stages = tuple(inverse if s is None else s for s in self._stages)
-                self._weights = _fold_weights(self._stages)
+            calibration = self._calibration
+        # inverse confusion matrix per qubit, per stage
+        self._stages = inner._stages + (_inverse_confusion(calibration),)
+        # weight pair per qubit, folded from every stage
+        self._weights = _fold_weights(self._stages)
+
+    def _mitigate(self, runs: list, sink) -> None:
         if (self._calibration is not None and sink is not None
                 and "readout-calibration" not in sink.metadata):
             sink.metadata.put("readout-calibration", HeterogeneousMap({
@@ -219,14 +189,8 @@ class MitigatedObjective(DefaultObjective):
             try:
                 pairs = tuple([weights[q] for q in qubits])
             except KeyError:
-                for stage in self._stages:
-                    _require_calibrated(stage, qubits)
+                _require_calibrated(weights, qubits)
                 raise
-            total = run.outcomes.sum()
-            if total == 0:
-                raise ValidationError("counts sum to zero")
             run.metadata.put("raw-expectation", run.expectation)
             run.metadata.put("mitigated", True)
-            run.expectation = float(run.term.coefficient.real
-                                    * (_parity_weights(pairs) @ run.outcomes) / total)
-        return True
+            run.expectation = _estimate(run.term, pairs, run.outcomes)

@@ -337,6 +337,13 @@ def parse_pauli(text: str) -> PauliObservable:
 # ---------------------------------------------------------------------------
 # estimation
 
+# The parity weights of terms on up to this many qubits are cached, at most
+# _WEIGHT_CACHE_SIZE of them: 32 MiB at most.
+_CACHED_WEIGHT_QUBITS = 12
+_WEIGHT_CACHE_SIZE = 1024
+_SIGNS = ((1.0, -1.0),)  # a qubit's parity weights before any mitigation
+
+
 def _build_parity_weights(pairs: tuple) -> np.ndarray:
     """Read-only g = pairs[0] (x) pairs[1] (x) ...: entry i weighs outcome
     format(i, f"0{k}b") of the k qubits the pairs belong to, lowest leftmost."""
@@ -347,10 +354,20 @@ def _build_parity_weights(pairs: tuple) -> np.ndarray:
     return g
 
 
-@functools.cache
-def _parity_signs(k: int) -> np.ndarray:
-    """(-1)^popcount(i) for i < 2^k, read-only because the cache shares it."""
-    return _build_parity_weights(((1.0, -1.0),) * k)
+# shared by the raw and mitigated estimates of every objective, so objectives
+# built from one calibration build each term's weights once
+_cached_parity_weights = functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)(_build_parity_weights)
+
+
+def _estimate(term: PauliTerm, pairs: tuple, outcomes: np.ndarray) -> float:
+    """Re(c) (g . outcomes) / sum(outcomes) for the term's coefficient c, g
+    the parity weights that `pairs` (one per support qubit) build."""
+    total = outcomes.sum()
+    if total == 0:
+        raise ValidationError("counts sum to zero")
+    g = (_cached_parity_weights(pairs) if len(pairs) <= _CACHED_WEIGHT_QUBITS
+         else _build_parity_weights(pairs))
+    return float(term.coefficient.real * (g @ outcomes) / total)
 
 
 def expectation_from_vector(term: PauliTerm, weights: np.ndarray) -> float:
@@ -360,10 +377,7 @@ def expectation_from_vector(term: PauliTerm, weights: np.ndarray) -> float:
     k = len(term.string.qubits)
     if len(weights) != 1 << k:
         raise ValidationError(f"outcome vector has {len(weights)} entries, not 2^{k}")
-    total = weights.sum()
-    if total == 0:
-        raise ValidationError("counts sum to zero")
-    return float(term.coefficient.real * (_parity_signs(k) @ weights) / total)
+    return _estimate(term, _SIGNS * k, weights)
 
 
 def expectation_from_counts(term: PauliTerm, counts: Mapping[str, float],

@@ -56,6 +56,7 @@ class DefaultObjective:
     """
 
     _stages: tuple = ()  # readout-mitigation stages, innermost first
+    _calibration = None  # the confusion matrices a stage measured itself
 
     def __init__(self, observable: PauliObservable, kernel: Kernel,
                  config: ExecutionConfig | None = None,
@@ -100,11 +101,9 @@ class DefaultObjective:
             runs.append(self._run(term, metadata, counts))
         return runs, offset
 
-    def _mitigate(self, runs: list, sink: ResultBuffer | None) -> bool:
-        """Readout-mitigation stages: re-estimate `runs` in place and return
-        True, or leave them as measured and return False.  `sink` is where
-        this evaluation publishes."""
-        return False
+    def _mitigate(self, runs: list, sink: ResultBuffer | None) -> None:
+        """Readout-mitigation stages: re-estimate `runs` in place.  `sink` is
+        where this evaluation publishes."""
 
     def __call__(self, params: Sequence[float]) -> float:
         bound = self.kernel.bind(params)
@@ -112,7 +111,8 @@ class DefaultObjective:
         value = offset.real + sum(r.expectation for r in runs)
         sink = self.sink if self.sink is not None else _TASK_ROOT.get()
         extra = None
-        if self._mitigate(runs, sink):
+        if self._stages:
+            self._mitigate(runs, sink)
             raw, value = value, offset.real + sum(r.expectation for r in runs)
             extra = {"raw-value": float(raw), "mitigated-value": float(value)}
         publish_evaluation(sink, params, value, runs, extra)

@@ -263,6 +263,27 @@ class TestUsageErrorsExitTwo:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", [("vqe",), ("evaluate", "--params", "0.2")])
+    def test_failing_self_calibration(self, ansatz_file, monkeypatch, capsys, command):
+        """The objective calibrates at construction, so a failed calibration
+        is an input error, raised before any task starts."""
+        from qcor_rt import cli, mitigation
+
+        def failing(num_qubits, config):
+            raise qcor_rt.ValidationError("calibration estimate is singular")
+
+        def no_task(spec):
+            raise AssertionError("a task started")
+
+        monkeypatch.setattr(mitigation, "calibrate", failing)
+        monkeypatch.setattr(cli, "task_initiate", no_task)
+        code = cli.main([*command, "--kernel", ansatz_file, "--observable", "Z0 Z1",
+                         "--shots", "200", "--noise-p10", "0.1", "--mitigate"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: calibration estimate is singular" in err
+        assert "Traceback" not in err
+
     def test_negative_seed(self, bell_file):
         self._check(run_cli("simulate", "--kernel", bell_file, "--seed", "-1"))
 

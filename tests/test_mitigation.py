@@ -10,11 +10,11 @@ from qcor_rt import (DefaultObjective, ExecutionConfig, GateKind, Instruction, K
                      ValidationError, calibrate, confusion_from_noise, derive_seed,
                      exact_distribution, exact_expectation, execute, expectation_from_counts,
                      expectation_from_vector, identity_kernel, mitigate_counts, mitigation,
-                     parse_kernel, parse_pauli, simulator)
+                     parse_kernel, parse_pauli, pauli, simulator)
 from qcor_rt.mitigation import (_CALIBRATION_SEED_OFFSET, _inverse_confusion, _invert,
                                 validate_confusion_matrix)
 from qcor_rt.results import HeterogeneousMap
-from qcor_rt.runtime import TermRun
+from qcor_rt.runtime import TaskSpec, TermRun, sync, task_initiate
 from qcor_rt.simulator import MAX_QUBITS
 
 from conftest import random_bound_kernel, random_hermitian_observable
@@ -358,6 +358,65 @@ class TestSharedCalibration:
         assert calls == [2]
 
 
+class TestCalibrationAtConstruction:
+    """A stage without an explicit calibration calibrates in its constructor;
+    evaluations only read the stages."""
+
+    NOISE = ReadoutNoiseModel(p01=0.02, p10=0.05)
+    EXPLICIT = {0: np.array([[0.97, 0.01], [0.03, 0.99]]),
+                1: np.array([[0.9, 0.2], [0.1, 0.8]])}
+
+    def _inner(self, exact=False, sink=None):
+        kernel = parse_kernel("kernel prep() qubits 2 { H q0; CNOT q0 q1; }")
+        config = ExecutionConfig(shots=500, seed=5, noise=self.NOISE, exact=exact)
+        return DefaultObjective(parse_pauli("Z0 Z1 + X0"), kernel, config, sink)
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_calibrates_once_in_the_constructor(self, monkeypatch, nested):
+        calls = []
+
+        def counting(num_qubits, config, _real=mitigation.calibrate):
+            calls.append(num_qubits)
+            return _real(num_qubits, config)
+
+        monkeypatch.setattr(mitigation, "calibrate", counting)
+        obj = MitigatedObjective(self._inner())
+        if nested:  # a self-calibrating outer stage reuses the inner calibration
+            obj = MitigatedObjective(obj)
+        assert calls == [2]
+        for _ in range(3):
+            obj([])
+        sync(task_initiate(TaskSpec(objective=obj, params=[])))
+        assert calls == [2]
+
+    def test_failing_calibration_fails_the_constructor(self, monkeypatch):
+        def failing(num_qubits, config):
+            raise ValidationError("calibration estimate is singular")
+
+        monkeypatch.setattr(mitigation, "calibrate", failing)
+        with pytest.raises(ValidationError, match="singular"):
+            MitigatedObjective(self._inner())
+        inner = MitigatedObjective(self._inner(), self.EXPLICIT)
+        with pytest.raises(ValidationError, match="singular"):
+            MitigatedObjective(inner)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("order", ["self-explicit", "explicit-self"])
+    @pytest.mark.parametrize("to_sink", [False, True])
+    def test_nested_stages_record_the_calibration(self, exact, order, to_sink):
+        sink = ResultBuffer() if to_sink else None
+        inner_cal, outer_cal = ((None, self.EXPLICIT) if order == "self-explicit"
+                                else (self.EXPLICIT, None))
+        obj = MitigatedObjective(MitigatedObjective(self._inner(exact, sink), inner_cal),
+                                 outer_cal)
+        root = sync(task_initiate(TaskSpec(objective=obj, params=[])))
+        metadata = (sink if to_sink else root).metadata
+        entry = metadata.get("readout-calibration", HeterogeneousMap)
+        want = calibrate(2, obj.config)
+        for q in range(2):
+            assert entry.get(f"q{q}", list) == [float(x) for x in want[q].reshape(-1)]
+
+
 def _random_confusion(rng):
     """An asymmetric column-stochastic 2x2 matrix [[1-p01, p10], [p01, 1-p10]]."""
     p01, p10 = rng.uniform(0.0, 0.2, size=2)
@@ -391,7 +450,7 @@ class TestWeightPath:
             obj = self._stacked(inner, cals)
             for outcomes in (rng.integers(0, 50, size=1 << k), rng.dirichlet(np.ones(1 << k))):
                 run = TermRun(term, HeterogeneousMap(), 0.0, outcomes)
-                assert obj._mitigate([run], None)
+                obj._mitigate([run], None)
                 quasi = outcomes
                 for cal in cals:
                     quasi = _invert(quasi, _inverse_confusion(cal), qubits)
@@ -415,14 +474,34 @@ class TestWeightPath:
         obs = parse_pauli("Z0 + Z1 Z2 + X0 X1 + Y2 + 0.5 X1 Z2")
         rng = np.random.default_rng(61)
         calibration = {q: _random_confusion(rng) for q in range(3)}
-        cache = mitigation._cached_parity_weights
+        cache = pauli._cached_parity_weights
         cache.cache_clear()
         for seed in (1, 2):
             config = ExecutionConfig(shots=400, seed=seed)
             MitigatedObjective(DefaultObjective(obs, kernel, config), calibration)([])
-            # one build per distinct measured-qubit tuple: (0,), (1, 2), (0, 1), (2,)
-            assert cache.cache_info().misses == 4
-        assert cache.cache_info().hits == 2 * 5 - 4
+            # one build per distinct measured-qubit tuple: (0,), (1, 2), (0, 1), (2,),
+            # and one per raw-sign width: 1, 2
+            assert cache.cache_info().misses == 6
+        assert cache.cache_info().hits == 2 * 2 * 5 - 6
+
+    def test_wide_terms_bypass_the_cache(self):
+        n = pauli._CACHED_WEIGHT_QUBITS + 1
+        rng = np.random.default_rng(67)
+        calibration = {q: _random_confusion(rng) for q in range(n)}
+        term = PauliObservable([(0.7, parse_pauli(" ".join(f"Z{q}" for q in range(n)))
+                                 .terms[0].string)]).terms[0]
+        obj = MitigatedObjective(DefaultObjective(
+            PauliObservable([(0.7, term.string)]), identity_kernel(n),
+            ExecutionConfig(shots=500, seed=4)), calibration)
+        before = pauli._cached_parity_weights.cache_info().currsize
+        assert math.isfinite(obj([]))
+        outcomes = rng.integers(0, 5, size=1 << n)
+        run = TermRun(term, HeterogeneousMap(), expectation_from_vector(term, outcomes), outcomes)
+        obj._mitigate([run], None)
+        assert pauli._cached_parity_weights.cache_info().currsize == before
+        want = expectation_from_vector(
+            term, _invert(outcomes, _inverse_confusion(calibration), term.string.qubits))
+        assert run.expectation == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_stage_makes_no_per_qubit_passes(self, monkeypatch, exact):
@@ -441,7 +520,7 @@ class TestWeightPath:
         monkeypatch.setattr(mitigation, "_invert", forbidden)
         monkeypatch.setattr(mitigation, "apply_per_qubit", forbidden)
         monkeypatch.setattr(simulator, "_apply_1q", forbidden)
-        assert obj._mitigate(runs, None)
+        obj._mitigate(runs, None)
         assert all(r.metadata.get("mitigated", bool) for r in runs)
         monkeypatch.undo()
         monkeypatch.setattr(mitigation, "_invert", forbidden)

@@ -630,6 +630,19 @@ class TestSynchronousValidation:
         with pytest.raises(ValidationError, match="capped"):
             task_initiate(TaskSpec(kernel=kernel, observable=parse_pauli("Z0"), config=config))
 
+    @pytest.mark.parametrize("width", ["2", 2.5, 2.0, True])
+    def test_non_integer_kernel_width_rejected(self, width):
+        with pytest.raises(ValidationError, match="kernel width must be an integer"):
+            identity_kernel(width)
+        with pytest.raises(ValidationError, match="kernel width must be an integer"):
+            task_initiate(TaskSpec(num_qubits=width))
+
+    def test_numpy_integer_kernel_width_accepted(self):
+        kernel = identity_kernel(np.int64(2))
+        assert type(kernel.num_qubits) is int
+        buf = sync(task_initiate(TaskSpec(num_qubits=np.int64(2), params=[])))
+        assert buf.metadata.get("value", float) == pytest.approx(1.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None])
     def test_bad_initial_point_rejected(self, bad):
         with pytest.raises(ValidationError):
