@@ -96,8 +96,12 @@ class PauliString:
         shared = (self.x | self.z) & (other.x | other.z)
         return not ((self.x ^ other.x) | (self.z ^ other.z)) & shared
 
-    def __str__(self):
+    @cached_property
+    def _text(self) -> str:
         return " ".join(f"{kind}{q}" for q, kind in self.ops) or "I"
+
+    def __str__(self):
+        return self._text
 
 
 @dataclass(frozen=True)

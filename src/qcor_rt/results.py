@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
+import math
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -24,19 +26,12 @@ class Kind(Enum):
     MAP = "map"
 
 
-_PY_KINDS = {
-    int: Kind.INT,
-    float: Kind.REAL,
-    complex: Kind.COMPLEX,
-    bool: Kind.BOOL,
-    str: Kind.STRING,
-    list: Kind.REAL_LIST,
-    np.ndarray: Kind.REAL_ARRAY,
-}
-
+# module-level aliases: a global costs less to read than an Enum attribute
+_INT, _REAL, _COMPLEX, _BOOL, _STRING, _REAL_LIST, _REAL_ARRAY, _STRING_LIST, _MAP = Kind
 
 # exact types whose values are already normalized, checked before isinstance
-_EXACT_KINDS = {bool: Kind.BOOL, int: Kind.INT, float: Kind.REAL, str: Kind.STRING}
+_EXACT_KINDS = {bool: _BOOL, int: _INT, float: _REAL, complex: _COMPLEX, str: _STRING}
+_PY_KINDS = {**_EXACT_KINDS, list: _REAL_LIST, np.ndarray: _REAL_ARRAY}
 
 
 def _kind_of(value) -> tuple:
@@ -115,20 +110,20 @@ class HeterogeneousMap:
         for k in other.keys():
             self._data[k] = other._data[k]
 
-    def to_dict(self, exclude: Iterable[str] = ()) -> dict:
-        """JSON-ready dict; complex values encode as [re, im], and real arrays
-        as the base64 text of their little-endian float64 bytes, which
-        `np.frombuffer(base64.b64decode(text), "<f8")` decodes bit-exactly."""
-        out = {}
+    def to_dict(self, exclude: Iterable[str] | str | None = ()) -> dict:
+        """JSON-ready dict without the `exclude` keys, at any depth; complex values encode
+        as [re, im], and real arrays as the base64 text of their little-endian float64 bytes,
+        which `np.frombuffer(base64.b64decode(text), "<f8")` decodes bit-exactly."""
+        keys, out = _excluded(exclude), {}
         for key, (kind, value) in self._data.items():
-            if key in exclude:
+            if key in keys:
                 continue
-            if kind is Kind.COMPLEX:
+            if kind is _COMPLEX:
                 out[key] = [value.real, value.imag]
-            elif kind is Kind.MAP:
-                out[key] = value.to_dict(exclude=exclude)
-            elif kind is Kind.REAL_ARRAY:
-                out[key] = base64.b64encode(value.astype("<f8", copy=False).tobytes()).decode()
+            elif kind is _MAP:
+                out[key] = value.to_dict(keys)
+            elif kind is _REAL_ARRAY:
+                out[key] = _base64(value)
             else:
                 out[key] = value
         return out
@@ -151,19 +146,110 @@ class ResultBuffer:
         self.children.append(child)
         return child
 
-    def to_dict(self, exclude: Iterable[str] = ()) -> dict:
+    def to_dict(self, exclude: Iterable[str] | str | None = ()) -> dict:
+        keys = _excluded(exclude)  # the nested calls check this frozenset again, in O(len)
         return {
-            "metadata": self.metadata.to_dict(exclude=exclude),
+            "metadata": self.metadata.to_dict(keys),
             "counts": dict(self.counts),
-            "children": [c.to_dict(exclude=exclude) for c in self.children],
+            "children": [c.to_dict(keys) for c in self.children],
         }
 
-    def to_json(self, indent: int | None = 2, exclude: Iterable[str] = ()) -> str:
-        return json.dumps(self.to_dict(exclude=exclude), indent=indent)
+    def to_json(self, indent: int | None = 2, exclude: Iterable[str] | str | None = ()) -> str:
+        """The text of `json.dumps(self.to_dict(exclude), indent=indent)`,
+        byte for byte, written in one pass over the tree."""
+        writer = _JsonWriter(indent, _excluded(exclude))
+        writer.buffer(self, "" if indent is None else "\n")
+        return "".join(writer.parts)
 
     def __repr__(self):
         return (f"ResultBuffer(keys={sorted(self.metadata.keys())}, "
                 f"counts={len(self.counts)}, children={len(self.children)})")
+
+
+def _excluded(exclude) -> frozenset:
+    """The metadata keys to leave out: a str names one key, None none, and an
+    iterable of str its items; anything else is a ValidationError."""
+    try:
+        keys = frozenset(() if exclude is None else (exclude,) if isinstance(exclude, str)
+                         else exclude)
+    except TypeError:
+        keys = {None}
+    if all(isinstance(k, str) for k in keys):
+        return keys
+    raise ValidationError(f"exclude must be a key or an iterable of keys, got {exclude!r}")
+
+
+def _base64(array: np.ndarray) -> str:
+    return binascii.b2a_base64(array.astype("<f8", copy=False), newline=False).decode("ascii")
+
+
+def _real(x: float) -> str:
+    """A float as `json` writes it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# how json writes a list item or count of exactly this type, and a scalar entry of this kind
+_ITEMS = {float: _real, str: _quote, int: int.__repr__}
+_SCALARS = {_STRING: _quote, _REAL: _real, _INT: int.__repr__, _BOOL: ("false", "true").__getitem__}
+
+
+class _JsonWriter:
+    """Writes the `json.dumps` text of a ResultBuffer tree into `parts`, straight from its
+    typed entries.  `outer` is the newline and indent before the closing bracket of the
+    container being written ("" without an indent)."""
+
+    def __init__(self, indent, keys: frozenset):
+        self.indent, self.keys, self.parts = indent, keys, []
+        self.step = "" if indent is None else indent if isinstance(indent, str) else " " * indent
+        self.comma = ", " if indent is None else ","
+
+    def _wrap(self, brackets: str, texts: list, outer: str) -> str:
+        nl = outer + self.step
+        return (f"{brackets[0]}{nl}{(self.comma + nl).join(texts)}{outer}{brackets[1]}"
+                if texts else brackets)
+
+    def _plain(self, value, outer: str) -> str:
+        """A list or counts map of str, int and float items, or its json.dumps text."""
+        try:
+            if isinstance(value, dict):
+                return self._wrap("{}", [f"{_quote(k)}: {_ITEMS[type(v)](v)}"
+                                         for k, v in value.items()], outer)
+            return self._wrap("[]", [_ITEMS[type(v)](v) for v in value], outer)
+        except (KeyError, TypeError):  # another type: json.dumps writes or rejects it
+            text = json.dumps(value, indent=None if self.indent is None else "\0")
+            return text.translate({10: outer, 0: self.step})  # json escapes both in strings
+
+    def buffer(self, node: ResultBuffer, outer: str) -> None:
+        nl, out = outer + self.step, self.parts.append
+        out(f'{{{nl}"metadata": {self._map(node.metadata, nl)}{self.comma}{nl}"counts": '
+            f'{self._plain(node.counts, nl)}{self.comma}{nl}"children": ')
+        sep, inner = "[", nl + self.step
+        for child in node.children:
+            out(sep + inner)
+            self.buffer(child, inner)
+            sep = self.comma
+        out(f"{nl}]{outer}}}" if node.children else f"[]{outer}}}")
+
+    def _map(self, metadata: HeterogeneousMap, outer: str) -> str:
+        nl, texts = outer + self.step, []
+        for key, (kind, value) in metadata._data.items():
+            if key in self.keys:
+                continue
+            scalar = _SCALARS.get(kind)
+            if scalar is not None:
+                text = scalar(value)
+            elif kind is _REAL_ARRAY:
+                text = f'"{_base64(value)}"'  # base64 needs no escaping
+            elif kind is _COMPLEX:
+                text = self._wrap("[]", [_real(value.real), _real(value.imag)], nl)
+            elif kind is _MAP:
+                text = self._map(value, nl)
+            else:  # REAL_LIST, STRING_LIST
+                text = self._plain(value, nl)
+            texts.append(f"{_quote(key)}: {text}")
+        return self._wrap("{}", texts, outer)
 
 
 # Metadata keys whose values vary run to run even with fixed seeds; CLI
